@@ -173,50 +173,15 @@ pub fn run_campaign_opts(
     ))
 }
 
-/// Executes already-expanded scenarios (from [`CampaignSpec::expand`] on
-/// the same spec) on `workers` threads. Callers that need the scenario
-/// list up front — the CLI prints its length before running — use this to
-/// avoid expanding twice.
-#[must_use]
-pub fn run_scenarios(
-    spec: &CampaignSpec,
-    scenarios: &[Scenario],
-    workers: usize,
-) -> CampaignReport {
-    run_scenarios_noted(spec, scenarios, Vec::new(), workers)
-}
-
-/// Like [`run_scenarios`], but attaches the expansion notes from
-/// [`CampaignSpec::expand_noted`] to the report's metadata.
-#[must_use]
-pub fn run_scenarios_noted(
-    spec: &CampaignSpec,
-    scenarios: &[Scenario],
-    notes: Vec<String>,
-    workers: usize,
-) -> CampaignReport {
-    run_scenarios_opts(spec, scenarios, notes, &ExecOptions::new(workers))
-}
-
-/// Like [`run_scenarios_noted`], but honoring full [`ExecOptions`] except
-/// [`CheckpointConfig::resume`] (journaling still happens; use
-/// [`run_scenarios_resumable`] when a prior journal should be loaded —
-/// loading can fail, which this infallible entry point cannot express).
-#[must_use]
-pub fn run_scenarios_opts(
-    spec: &CampaignSpec,
-    scenarios: &[Scenario],
-    notes: Vec<String>,
-    options: &ExecOptions,
-) -> CampaignReport {
-    let prefill = vec![None; scenarios.len()];
-    run_scenarios_full(spec, scenarios, notes, options, None, prefill)
-}
-
-/// Like [`run_scenarios_opts`], but honoring [`CheckpointConfig::resume`]:
-/// when the journal file exists, its completed cells are validated against
-/// the spec's fingerprint and skipped, and only the incomplete cells run.
-/// The resumed canonical report is byte-identical to the one-shot report.
+/// Executes already-expanded scenarios (from [`CampaignSpec::expand_noted`]
+/// on the same spec, whose notes go into the report's metadata) under full
+/// [`ExecOptions`]. Callers that need the scenario list up front — the CLI
+/// prints its length before running — use this to avoid expanding twice.
+///
+/// With [`CheckpointConfig::resume`] set and the journal file present, its
+/// completed cells are validated against the spec's fingerprint and
+/// skipped, and only the incomplete cells run. The resumed canonical report
+/// is byte-identical to the one-shot report.
 ///
 /// # Errors
 ///
@@ -847,7 +812,7 @@ mod tests {
         let scenarios = spec.expand().unwrap();
         let mut options = ExecOptions::new(2);
         options.chaos = Some(ChaosPolicy::parse("panic=3").unwrap());
-        let report = run_scenarios_opts(&spec, &scenarios, Vec::new(), &options);
+        let report = run_scenarios_resumable(&spec, &scenarios, Vec::new(), &options).unwrap();
         assert_eq!(report.records().len(), 10);
         assert_eq!(report.quarantined().len(), 1);
         let failed = &report.records()[3];
@@ -873,7 +838,7 @@ mod tests {
         let mut options = ExecOptions::new(2);
         options.cell_timeout_micros = Some(20_000);
         options.chaos = Some(ChaosPolicy::parse("delay=2:300").unwrap());
-        let report = run_scenarios_opts(&spec, &scenarios, Vec::new(), &options);
+        let report = run_scenarios_resumable(&spec, &scenarios, Vec::new(), &options).unwrap();
         let timed_out = &report.records()[2];
         assert_eq!(
             timed_out.status,
@@ -898,7 +863,7 @@ mod tests {
         let scenarios = spec.expand().unwrap();
         let mut options = ExecOptions::new(1);
         options.chaos = Some(ChaosPolicy::parse("delay=0:300").unwrap());
-        let report = run_scenarios_opts(&spec, &scenarios, Vec::new(), &options);
+        let report = run_scenarios_resumable(&spec, &scenarios, Vec::new(), &options).unwrap();
         assert_eq!(
             report.records()[0].status,
             CellStatus::TimedOut {

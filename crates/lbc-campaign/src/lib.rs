@@ -101,8 +101,8 @@ pub use chaos::ChaosPolicy;
 pub use checkpoint::{Checkpoint, CheckpointConfig};
 pub use diff::{diff_report_texts, diff_reports, CampaignDiff, CellChange, DiffOptions};
 pub use executor::{
-    run_campaign, run_campaign_opts, run_scenario, run_scenario_observed, run_scenarios,
-    run_scenarios_noted, run_scenarios_opts, run_scenarios_resumable, ExecOptions,
+    run_campaign, run_campaign_opts, run_scenario, run_scenario_observed, run_scenarios_resumable,
+    ExecOptions,
 };
 pub use explain::{replay_scenario, TraceReplay};
 pub use report::{CampaignReport, CellStatus, RollupRow, ScenarioRecord};

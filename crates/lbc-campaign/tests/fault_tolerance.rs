@@ -22,9 +22,9 @@ use proptest::prelude::*;
 use lbc_campaign::checkpoint::write_atomic;
 use lbc_campaign::spec::{FRange, RegimeSpec};
 use lbc_campaign::{
-    diff_report_texts, run_scenarios_opts, run_scenarios_resumable, CampaignSpec, CellStatus,
-    ChaosPolicy, CheckpointConfig, ExecOptions, FaultPolicy, GraphFamily, InputPolicy,
-    ScenarioRecord, SizeSpec, StrategySpec, SweepSpec,
+    diff_report_texts, run_scenarios_resumable, CampaignSpec, CellStatus, ChaosPolicy,
+    CheckpointConfig, ExecOptions, FaultPolicy, GraphFamily, InputPolicy, ScenarioRecord, SizeSpec,
+    StrategySpec, SweepSpec,
 };
 use lbc_consensus::AlgorithmKind;
 use lbc_model::json::Json;
@@ -68,11 +68,13 @@ fn scratch_dir(tag: &str) -> PathBuf {
 fn resume_reproduces_the_one_shot_report_from_every_kill_point() {
     let spec = small_spec(2027);
     let scenarios = spec.expand().unwrap();
-    let one_shot = run_scenarios_opts(&spec, &scenarios, Vec::new(), &ExecOptions::new(2))
+    let one_shot = run_scenarios_resumable(&spec, &scenarios, Vec::new(), &ExecOptions::new(2))
+        .unwrap()
         .to_json()
         .to_string();
     let records: Vec<ScenarioRecord> =
-        run_scenarios_opts(&spec, &scenarios, Vec::new(), &ExecOptions::new(1))
+        run_scenarios_resumable(&spec, &scenarios, Vec::new(), &ExecOptions::new(1))
+            .unwrap()
             .records()
             .to_vec();
     let dir = scratch_dir("resume");
@@ -119,7 +121,8 @@ fn resume_rejects_foreign_journals_and_telemetry() {
     let spec = small_spec(2027);
     let scenarios = spec.expand().unwrap();
     let records: Vec<ScenarioRecord> =
-        run_scenarios_opts(&spec, &scenarios, Vec::new(), &ExecOptions::new(1))
+        run_scenarios_resumable(&spec, &scenarios, Vec::new(), &ExecOptions::new(1))
+            .unwrap()
             .records()
             .to_vec();
     let dir = scratch_dir("reject");
@@ -172,15 +175,18 @@ fn resume_rejects_foreign_journals_and_telemetry() {
 fn injected_panic_quarantines_exactly_one_cell() {
     let spec = small_spec(2027);
     let scenarios = spec.expand().unwrap();
-    let clean = run_scenarios_opts(&spec, &scenarios, Vec::new(), &ExecOptions::new(2));
+    let clean =
+        run_scenarios_resumable(&spec, &scenarios, Vec::new(), &ExecOptions::new(2)).unwrap();
     let chaos_opts = |workers: usize| ExecOptions {
         chaos: Some(ChaosPolicy::parse("panic=4").unwrap()),
         ..ExecOptions::new(workers)
     };
-    let quarantined = run_scenarios_opts(&spec, &scenarios, Vec::new(), &chaos_opts(1));
+    let quarantined =
+        run_scenarios_resumable(&spec, &scenarios, Vec::new(), &chaos_opts(1)).unwrap();
     for workers in [2, 8] {
         assert_eq!(
-            run_scenarios_opts(&spec, &scenarios, Vec::new(), &chaos_opts(workers))
+            run_scenarios_resumable(&spec, &scenarios, Vec::new(), &chaos_opts(workers))
+                .unwrap()
                 .to_json()
                 .to_string(),
             quarantined.to_json().to_string(),

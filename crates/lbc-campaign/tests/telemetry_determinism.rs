@@ -16,13 +16,13 @@ use proptest::prelude::*;
 
 use lbc_campaign::spec::{FRange, RegimeSpec};
 use lbc_campaign::{
-    diff_report_texts, replay_scenario, run_campaign, run_campaign_opts, run_scenarios_noted,
-    run_scenarios_opts, CampaignSpec, ExecOptions, FaultPolicy, GraphFamily, InputPolicy, SizeSpec,
-    StrategySpec, SweepSpec,
+    diff_report_texts, replay_scenario, run_campaign, run_campaign_opts, run_scenarios_resumable,
+    CampaignSpec, ExecOptions, FaultPolicy, GraphFamily, InputPolicy, SizeSpec, StrategySpec,
+    SweepSpec,
 };
 use lbc_consensus::AlgorithmKind;
 use lbc_model::json::{FromJson, Json, ToJson};
-use lbc_sim::{RoundStats, TraceSummary};
+use lbc_sim::TraceSummary;
 
 /// A small campaign that exercises every event source telemetry taps:
 /// synchronous rounds with tampering, an async scheduler, and a
@@ -140,7 +140,8 @@ fn telemetry_csv_is_deterministic_except_wall_column() {
 
 /// Disabled-observer runs must produce reports byte-identical to the
 /// pre-telemetry executor surface: no `"telemetry"` key, and the exact
-/// bytes of the plain `run_campaign` / `run_scenarios_noted` paths.
+/// bytes of the plain `run_campaign` path, whether the executor expands the
+/// spec or is handed the expansion.
 #[test]
 fn disabled_observer_reports_match_the_plain_paths() {
     let spec = telemetry_spec(7);
@@ -152,13 +153,11 @@ fn disabled_observer_reports_match_the_plain_paths() {
         .to_string();
     assert_eq!(plain, via_opts);
     let (scenarios, notes) = spec.expand_noted().unwrap();
-    let noted = run_scenarios_noted(&spec, &scenarios, notes.clone(), 2)
+    let expanded = run_scenarios_resumable(&spec, &scenarios, notes, &opts(2, false))
+        .unwrap()
         .to_json()
         .to_string();
-    let opted = run_scenarios_opts(&spec, &scenarios, notes, &opts(2, false))
-        .to_json()
-        .to_string();
-    assert_eq!(noted, opted);
+    assert_eq!(plain, expanded);
 }
 
 /// The telemetry section only adds a key: stripping `"telemetry"` from an
@@ -212,9 +211,8 @@ fn replay_event_streams_are_deterministic_and_match_campaign_records() {
 // old-report compatibility: the adversary-visible fields default to 0
 // ---------------------------------------------------------------------------
 
-/// Recursively drops the adversary-visible keys this PR added to
-/// `RoundStats` / `TraceSummary`, simulating a report written before they
-/// existed.
+/// Recursively drops the adversary-visible keys of `TraceSummary`,
+/// simulating a report written before they existed.
 fn strip_adversary_fields(json: Json) -> Json {
     const NEW_FIELDS: [&str; 4] = ["tampered", "omitted", "equivocated", "burst_deliveries"];
     match json {
@@ -239,11 +237,6 @@ fn trace_summary_defaults_missing_adversary_fields_to_zero() {
     assert_eq!(summary.omitted, 0);
     assert_eq!(summary.equivocated, 0);
     assert_eq!(summary.burst_deliveries, 0);
-
-    let old = Json::parse(r#"{"transmissions": 10, "deliveries": 20}"#).unwrap();
-    let stats = RoundStats::from_json(&old).unwrap();
-    assert_eq!((stats.tampered, stats.omitted), (0, 0));
-    assert_eq!((stats.equivocated, stats.burst_deliveries), (0, 0));
 }
 
 /// `lbc campaign diff` against a pre-telemetry report: the old side is

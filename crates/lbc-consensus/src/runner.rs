@@ -83,68 +83,116 @@ impl AlgorithmKind {
 /// picking the simulator's round limit.
 const ROUND_MARGIN: usize = 2;
 
-#[allow(clippy::too_many_arguments)]
-fn execute<P, A>(
-    graph: &Graph,
-    model: CommModel,
-    f: usize,
-    inputs: &InputAssignment,
-    faulty: &NodeSet,
-    adversary: &mut A,
-    nodes: Vec<P>,
-    max_rounds: usize,
-    observer: ObserverHandle,
-) -> (ConsensusOutcome, Trace)
-where
-    P: Protocol,
-    A: Adversary<P::Message>,
-{
-    execute_under(
-        graph,
-        model,
-        &Regime::Synchronous,
-        f,
-        inputs,
-        faulty,
-        adversary,
-        nodes,
-        max_rounds,
-        observer,
-    )
+/// One algorithm's row in the runner's table: the communication model it
+/// runs under, its step budget, and its node constructor. The one-shot
+/// entry points and [`run_chain_under`] all read their parameters here.
+trait Algorithm: Protocol + Sized {
+    /// The communication model the algorithm runs under.
+    fn model() -> CommModel {
+        CommModel::LocalBroadcast
+    }
+
+    /// The simulator's step limit for `n` nodes and fault bound `f`.
+    fn step_budget(n: usize, f: usize, regime: &Regime) -> usize;
+
+    /// A node starting from `input`.
+    fn with_input(input: Value) -> Self;
 }
 
-#[allow(clippy::too_many_arguments)]
-fn execute_under<P, A>(
-    graph: &Graph,
-    model: CommModel,
-    regime: &Regime,
-    f: usize,
-    inputs: &InputAssignment,
-    faulty: &NodeSet,
-    adversary: &mut A,
-    nodes: Vec<P>,
-    max_rounds: usize,
-    observer: ObserverHandle,
-) -> (ConsensusOutcome, Trace)
-where
-    P: Protocol,
-    A: Adversary<P::Message>,
-{
+impl Algorithm for Algorithm1Node {
+    fn step_budget(n: usize, f: usize, _regime: &Regime) -> usize {
+        Algorithm1Node::round_count(n, f) * ROUND_MARGIN + 2
+    }
+
+    fn with_input(input: Value) -> Self {
+        Algorithm1Node::new(input)
+    }
+}
+
+impl Algorithm for Algorithm2Node {
+    fn step_budget(n: usize, _f: usize, _regime: &Regime) -> usize {
+        Algorithm2Node::round_count(n) * ROUND_MARGIN + 2
+    }
+
+    fn with_input(input: Value) -> Self {
+        Algorithm2Node::new(input)
+    }
+}
+
+impl Algorithm for P2pBaselineNode {
+    fn model() -> CommModel {
+        CommModel::PointToPoint
+    }
+
+    fn step_budget(n: usize, f: usize, _regime: &Regime) -> usize {
+        P2pBaselineNode::round_count(n, f) * ROUND_MARGIN + 2
+    }
+
+    fn with_input(input: Value) -> Self {
+        P2pBaselineNode::new(input)
+    }
+}
+
+impl Algorithm for AsyncFloodNode {
+    fn step_budget(n: usize, _f: usize, regime: &Regime) -> usize {
+        AsyncFloodNode::step_count_under(n, regime)
+    }
+
+    fn with_input(input: Value) -> Self {
+        AsyncFloodNode::new(input)
+    }
+}
+
+/// One node per graph node, each starting from its own input.
+fn nodes_for<P: Algorithm>(graph: &Graph, inputs: &InputAssignment) -> Vec<P> {
     assert_eq!(
         inputs.len(),
         graph.node_count(),
         "one input per graph node is required"
     );
-    let mut network = Network::new(graph.clone(), model, faulty.clone(), nodes)
-        .with_fault_bound(f)
-        .with_observer(observer);
-    let report = network.run_under(regime, adversary, max_rounds);
-    let mut outcome = ConsensusOutcome::new(inputs.clone(), faulty.clone());
+    graph
+        .nodes()
+        .map(|v| P::with_input(inputs.get(v)))
+        .collect()
+}
+
+/// Judges one execution's decided outputs against its inputs.
+fn judge(
+    graph: &Graph,
+    inputs: InputAssignment,
+    faulty: &NodeSet,
+    outputs: &[Option<Value>],
+) -> ConsensusOutcome {
+    let mut outcome = ConsensusOutcome::new(inputs, faulty.clone());
     for node in graph.nodes() {
-        if let Some(value) = report.output_of(node) {
+        if let Some(value) = outputs[node.index()] {
             outcome.record_output(node, value);
         }
     }
+    outcome
+}
+
+/// Runs one execution of algorithm `P` on a fresh network and judges it.
+fn run_one<P, A>(
+    regime: &Regime,
+    graph: &Graph,
+    f: usize,
+    inputs: &InputAssignment,
+    faulty: &NodeSet,
+    adversary: &mut A,
+    observer: ObserverHandle,
+) -> (ConsensusOutcome, Trace)
+where
+    P: Algorithm,
+    A: Adversary<P::Message>,
+{
+    let nodes = nodes_for::<P>(graph, inputs);
+    let mut network = Network::new(graph.clone(), P::model(), faulty.clone(), nodes)
+        .with_fault_bound(f)
+        .with_observer(observer);
+    let max_steps = P::step_budget(graph.node_count(), f, regime);
+    let report = network.run_under(regime, adversary, max_steps);
+    let outcome = judge(graph, inputs.clone(), faulty, &report.outputs);
     (outcome, report.trace)
 }
 
@@ -159,43 +207,14 @@ pub fn run_algorithm1<A>(
 where
     A: Adversary<FloodMsg>,
 {
-    algorithm1_observed(
+    run_one::<Algorithm1Node, A>(
+        &Regime::Synchronous,
         graph,
         f,
         inputs,
         faulty,
         adversary,
         ObserverHandle::disabled(),
-    )
-}
-
-fn algorithm1_observed<A>(
-    graph: &Graph,
-    f: usize,
-    inputs: &InputAssignment,
-    faulty: &NodeSet,
-    adversary: &mut A,
-    observer: ObserverHandle,
-) -> (ConsensusOutcome, Trace)
-where
-    A: Adversary<FloodMsg>,
-{
-    let n = graph.node_count();
-    let nodes: Vec<Algorithm1Node> = graph
-        .nodes()
-        .map(|v| Algorithm1Node::new(inputs.get(v)))
-        .collect();
-    let max_rounds = Algorithm1Node::round_count(n, f) * ROUND_MARGIN + 2;
-    execute(
-        graph,
-        CommModel::LocalBroadcast,
-        f,
-        inputs,
-        faulty,
-        adversary,
-        nodes,
-        max_rounds,
-        observer,
     )
 }
 
@@ -211,43 +230,14 @@ pub fn run_algorithm2<A>(
 where
     A: Adversary<Alg2Message>,
 {
-    algorithm2_observed(
+    run_one::<Algorithm2Node, A>(
+        &Regime::Synchronous,
         graph,
         f,
         inputs,
         faulty,
         adversary,
         ObserverHandle::disabled(),
-    )
-}
-
-fn algorithm2_observed<A>(
-    graph: &Graph,
-    f: usize,
-    inputs: &InputAssignment,
-    faulty: &NodeSet,
-    adversary: &mut A,
-    observer: ObserverHandle,
-) -> (ConsensusOutcome, Trace)
-where
-    A: Adversary<Alg2Message>,
-{
-    let n = graph.node_count();
-    let nodes: Vec<Algorithm2Node> = graph
-        .nodes()
-        .map(|v| Algorithm2Node::new(inputs.get(v)))
-        .collect();
-    let max_rounds = Algorithm2Node::round_count(n) * ROUND_MARGIN + 2;
-    execute(
-        graph,
-        CommModel::LocalBroadcast,
-        f,
-        inputs,
-        faulty,
-        adversary,
-        nodes,
-        max_rounds,
-        observer,
     )
 }
 
@@ -336,25 +326,22 @@ pub fn run_kind_observed<A>(
 where
     A: Adversary<FloodMsg> + Adversary<Alg2Message> + Adversary<P2pMessage>,
 {
+    assert_supported(kind, regime);
+    let run = match kind {
+        AlgorithmKind::Algorithm1 => run_one::<Algorithm1Node, A>,
+        AlgorithmKind::Algorithm2 => run_one::<Algorithm2Node, A>,
+        AlgorithmKind::P2pBaseline => run_one::<P2pBaselineNode, A>,
+        AlgorithmKind::AsyncFlood => run_one::<AsyncFloodNode, A>,
+    };
+    run(regime, graph, f, inputs, faulty, adversary, observer)
+}
+
+fn assert_supported(kind: AlgorithmKind, regime: &Regime) {
     assert!(
         kind.supports_regime(regime),
         "{} is a synchronous round machine and cannot run under {regime}",
         kind.name()
     );
-    match kind {
-        AlgorithmKind::Algorithm1 => {
-            algorithm1_observed(graph, f, inputs, faulty, adversary, observer)
-        }
-        AlgorithmKind::Algorithm2 => {
-            algorithm2_observed(graph, f, inputs, faulty, adversary, observer)
-        }
-        AlgorithmKind::P2pBaseline => {
-            p2p_baseline_observed(graph, f, inputs, faulty, adversary, observer)
-        }
-        AlgorithmKind::AsyncFlood => {
-            async_flood_observed(graph, f, inputs, faulty, regime, adversary, observer)
-        }
-    }
 }
 
 /// Runs the **asynchronous** local-broadcast algorithm under `regime`
@@ -371,46 +358,14 @@ pub fn run_async_flood<A>(
 where
     A: Adversary<FloodMsg>,
 {
-    async_flood_observed(
-        graph,
-        f,
-        inputs,
-        faulty,
+    run_one::<AsyncFloodNode, A>(
         regime,
-        adversary,
-        ObserverHandle::disabled(),
-    )
-}
-
-fn async_flood_observed<A>(
-    graph: &Graph,
-    f: usize,
-    inputs: &InputAssignment,
-    faulty: &NodeSet,
-    regime: &Regime,
-    adversary: &mut A,
-    observer: ObserverHandle,
-) -> (ConsensusOutcome, Trace)
-where
-    A: Adversary<FloodMsg>,
-{
-    let n = graph.node_count();
-    let nodes: Vec<AsyncFloodNode> = graph
-        .nodes()
-        .map(|v| AsyncFloodNode::new(inputs.get(v)))
-        .collect();
-    let max_steps = AsyncFloodNode::step_count_under(n, regime);
-    execute_under(
         graph,
-        CommModel::LocalBroadcast,
-        regime,
         f,
         inputs,
         faulty,
         adversary,
-        nodes,
-        max_steps,
-        observer,
+        ObserverHandle::disabled(),
     )
 }
 
@@ -438,21 +393,16 @@ where
         .nodes()
         .map(|v| Algorithm3Node::new(inputs.get(v), t))
         .collect();
-    let max_rounds = Algorithm3Node::round_count(n, f, t) * ROUND_MARGIN + 2;
     let model = CommModel::Hybrid {
         equivocators: equivocators.clone(),
     };
-    execute(
-        graph,
-        model,
-        f,
-        inputs,
-        faulty,
+    let mut network = Network::new(graph.clone(), model, faulty.clone(), nodes).with_fault_bound(f);
+    let report = network.run(
         adversary,
-        nodes,
-        max_rounds,
-        ObserverHandle::disabled(),
-    )
+        Algorithm3Node::round_count(n, f, t) * ROUND_MARGIN + 2,
+    );
+    let outcome = judge(graph, inputs.clone(), faulty, &report.outputs);
+    (outcome, report.trace)
 }
 
 /// Runs the **point-to-point baseline** (king agreement over Dolev-style
@@ -467,43 +417,14 @@ pub fn run_p2p_baseline<A>(
 where
     A: Adversary<P2pMessage>,
 {
-    p2p_baseline_observed(
+    run_one::<P2pBaselineNode, A>(
+        &Regime::Synchronous,
         graph,
         f,
         inputs,
         faulty,
         adversary,
         ObserverHandle::disabled(),
-    )
-}
-
-fn p2p_baseline_observed<A>(
-    graph: &Graph,
-    f: usize,
-    inputs: &InputAssignment,
-    faulty: &NodeSet,
-    adversary: &mut A,
-    observer: ObserverHandle,
-) -> (ConsensusOutcome, Trace)
-where
-    A: Adversary<P2pMessage>,
-{
-    let n = graph.node_count();
-    let nodes: Vec<P2pBaselineNode> = graph
-        .nodes()
-        .map(|v| P2pBaselineNode::new(inputs.get(v)))
-        .collect();
-    let max_rounds = P2pBaselineNode::round_count(n, f) * ROUND_MARGIN + 2;
-    execute(
-        graph,
-        CommModel::PointToPoint,
-        f,
-        inputs,
-        faulty,
-        adversary,
-        nodes,
-        max_rounds,
-        observer,
     )
 }
 
@@ -549,150 +470,61 @@ pub fn run_chain_under<A, FI>(
     f: usize,
     faulty: &NodeSet,
     instances: usize,
-    mut inputs_for: FI,
+    inputs_for: FI,
     adversary: &mut A,
 ) -> (Vec<InstanceResult>, ChainStats)
 where
     A: Adversary<FloodMsg> + Adversary<Alg2Message> + Adversary<P2pMessage>,
     FI: FnMut(u64) -> InputAssignment,
 {
-    assert!(
-        kind.supports_regime(regime),
-        "{} is a synchronous round machine and cannot run under {regime}",
-        kind.name()
-    );
-    let n = graph.node_count();
-    match kind {
-        AlgorithmKind::Algorithm1 => chain_execute(
-            graph,
-            CommModel::LocalBroadcast,
-            regime,
-            f,
-            faulty,
-            instances,
-            &mut inputs_for,
-            |inputs| {
-                graph
-                    .nodes()
-                    .map(|v| Algorithm1Node::new(inputs.get(v)))
-                    .collect()
-            },
-            Algorithm1Node::round_count(n, f) * ROUND_MARGIN + 2,
-            adversary,
-        ),
-        AlgorithmKind::Algorithm2 => chain_execute(
-            graph,
-            CommModel::LocalBroadcast,
-            regime,
-            f,
-            faulty,
-            instances,
-            &mut inputs_for,
-            |inputs| {
-                graph
-                    .nodes()
-                    .map(|v| Algorithm2Node::new(inputs.get(v)))
-                    .collect()
-            },
-            Algorithm2Node::round_count(n) * ROUND_MARGIN + 2,
-            adversary,
-        ),
-        AlgorithmKind::P2pBaseline => chain_execute(
-            graph,
-            CommModel::PointToPoint,
-            regime,
-            f,
-            faulty,
-            instances,
-            &mut inputs_for,
-            |inputs| {
-                graph
-                    .nodes()
-                    .map(|v| P2pBaselineNode::new(inputs.get(v)))
-                    .collect()
-            },
-            P2pBaselineNode::round_count(n, f) * ROUND_MARGIN + 2,
-            adversary,
-        ),
-        AlgorithmKind::AsyncFlood => chain_execute(
-            graph,
-            CommModel::LocalBroadcast,
-            regime,
-            f,
-            faulty,
-            instances,
-            &mut inputs_for,
-            |inputs| {
-                graph
-                    .nodes()
-                    .map(|v| AsyncFloodNode::new(inputs.get(v)))
-                    .collect()
-            },
-            AsyncFloodNode::step_count_under(n, regime),
-            adversary,
-        ),
-    }
+    assert_supported(kind, regime);
+    let run = match kind {
+        AlgorithmKind::Algorithm1 => run_chained::<Algorithm1Node, A, FI>,
+        AlgorithmKind::Algorithm2 => run_chained::<Algorithm2Node, A, FI>,
+        AlgorithmKind::P2pBaseline => run_chained::<P2pBaselineNode, A, FI>,
+        AlgorithmKind::AsyncFlood => run_chained::<AsyncFloodNode, A, FI>,
+    };
+    run(regime, graph, f, faulty, instances, inputs_for, adversary)
 }
 
-/// The monomorphic body behind [`run_chain_under`]: build one network, pump
-/// the chain, judge every instance against its own input assignment.
-#[allow(clippy::too_many_arguments)]
-fn chain_execute<P, A, FI, FB>(
-    graph: &Graph,
-    model: CommModel,
+/// Runs a chain of algorithm `P` over one network and judges every
+/// instance against its own input assignment.
+fn run_chained<P, A, FI>(
     regime: &Regime,
+    graph: &Graph,
     f: usize,
     faulty: &NodeSet,
     instances: usize,
-    inputs_for: &mut FI,
-    mut build: FB,
-    max_steps: usize,
+    mut inputs_for: FI,
     adversary: &mut A,
 ) -> (Vec<InstanceResult>, ChainStats)
 where
-    P: Protocol,
+    P: Algorithm,
     A: Adversary<P::Message>,
     FI: FnMut(u64) -> InputAssignment,
-    FB: FnMut(&InputAssignment) -> Vec<P>,
 {
-    let mut assignments: Vec<InputAssignment> = Vec::with_capacity(instances);
     let first = inputs_for(0);
-    assert_eq!(
-        first.len(),
-        graph.node_count(),
-        "one input per graph node is required"
-    );
-    let nodes = build(&first);
+    let nodes = nodes_for::<P>(graph, &first);
+    let mut assignments: Vec<InputAssignment> = Vec::with_capacity(instances);
     assignments.push(first);
-    let mut network = Network::new(graph.clone(), model, faulty.clone(), nodes).with_fault_bound(f);
+    let mut network =
+        Network::new(graph.clone(), P::model(), faulty.clone(), nodes).with_fault_bound(f);
+    let max_steps = P::step_budget(graph.node_count(), f, regime);
     let (reports, stats) = network.run_chain(regime, adversary, max_steps, instances, |k| {
         let inputs = inputs_for(k);
-        assert_eq!(
-            inputs.len(),
-            graph.node_count(),
-            "one input per graph node is required"
-        );
-        let nodes = build(&inputs);
+        let nodes = nodes_for::<P>(graph, &inputs);
         assignments.push(inputs);
         nodes
     });
     let results = reports
         .into_iter()
         .zip(assignments)
-        .map(|(report, inputs)| {
-            let mut outcome = ConsensusOutcome::new(inputs, faulty.clone());
-            for node in graph.nodes() {
-                if let Some(value) = report.outputs[node.index()] {
-                    outcome.record_output(node, value);
-                }
-            }
-            InstanceResult {
-                outcome,
-                all_non_faulty_terminated: report.all_non_faulty_terminated,
-                steps: report.steps,
-                transmissions: report.transmissions,
-                deliveries: report.deliveries,
-            }
+        .map(|(report, inputs)| InstanceResult {
+            outcome: judge(graph, inputs, faulty, &report.outputs),
+            all_non_faulty_terminated: report.all_non_faulty_terminated,
+            steps: report.steps,
+            transmissions: report.transmissions,
+            deliveries: report.deliveries,
         })
         .collect();
     (results, stats)

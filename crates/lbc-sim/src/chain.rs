@@ -1,12 +1,28 @@
-//! Chained multi-instance execution: one long-lived [`Network`] deciding
-//! many consecutive consensus instances.
+//! The two step loops: one long-lived [`Network`] deciding one or many
+//! consecutive consensus instances.
 //!
-//! A one-shot [`Network::run_under`] pays the per-execution setup — arena
-//! interning, disjoint-path plans, ledger channels — for a single decision.
 //! A repeated-consensus service decides continuously: [`Network::run_chain`]
 //! re-arms the same network with a fresh protocol set per instance while
 //! keeping the [`lbc_model::SharedPathArena`] and the
 //! [`lbc_model::SharedFloodLedger`]'s pair-path memos warm across instances.
+//! A one-shot [`Network::run_under`] is a chain of one.
+//!
+//! There are two loops, one per delivery discipline: the lockstep loop of
+//! the synchronous regime and the event-scheduled loop of the asynchronous
+//! and partial-synchrony regimes. The lockstep loop stays separate although
+//! an event loop with a lag-1 FIFO schedule delivers the same messages: the
+//! traced benchmark baseline (`benchmark/README.md`) measures 4.1 ns of
+//! simulator time per delivery in the lockstep loop (dense-sync) against
+//! 16.6 ns in the event loop (async-circulant). At dense-sync's 54.5 M
+//! deliveries per repetition, that difference is about 0.68 s against
+//! 2.48 s of busy time. A lag-1 event schedule was not measured.
+//!
+//! Both loops emit the step events of an attached observer —
+//! `StepStart`, `Transmission` (stamped with the step that produced it),
+//! `Scheduled`/`Held`, `BurstRelease`, `Delivery` and `RunInterrupted` —
+//! and keep one [`Trace`] per instance. Step numbers are instance-local in
+//! the lockstep loop and on the chain's one scheduler clock in the event
+//! loop; the two agree for a chain of one.
 //!
 //! # Isolation and overlap
 //!
@@ -30,13 +46,13 @@
 //! transmission — the chained schedule is a conforming schedule, so
 //! schedule-invariant protocols decide exactly as they would one-shot.
 
-use lbc_model::{AdversarialSchedule, AsyncRegime, Regime, Round, Value};
-use lbc_telemetry::Moment;
+use lbc_model::{AdversarialSchedule, AsyncRegime, NodeId, Regime, Round, Value};
+use lbc_telemetry::{Event, MessageView, Moment};
 
 use crate::adversary::Adversary;
 use crate::network::Network;
-use crate::protocol::{Delivery, Inbox, NodeContext, Outgoing, Protocol};
-use crate::trace::RoundStats;
+use crate::protocol::{Delivery, Outgoing, Protocol};
+use crate::trace::{RoundStats, Trace};
 
 /// Per-instance outcome of a chained run.
 ///
@@ -56,6 +72,10 @@ pub struct InstanceReport {
     pub transmissions: usize,
     /// Deliveries of this instance's transmissions.
     pub deliveries: usize,
+    /// The instance's own steps, counted as [`Trace`] documents: no drain
+    /// tail, and adversary interference only under an attached observer.
+    /// [`Network::run_under`] returns this trace of its single instance.
+    pub trace: Trace,
 }
 
 /// Whole-chain accounting: resource high-water marks proving that channel
@@ -106,13 +126,22 @@ struct AsyncChainState<P: Protocol> {
     /// Emitting instance per buffer slot: deliveries route to that
     /// instance's node set only.
     owner: Vec<u32>,
+    /// `due[step % (D+1)]` = events due at `step`, filled at enqueue time.
+    /// A lag is at most `D`, so a ring of `D+1` step buckets always
+    /// suffices; held pre-GST events wait in `held` instead, so a large GST
+    /// does not demand a large ring.
     due: Vec<Vec<(u32, u32)>>,
+    /// Per-edge FIFO clamp: the last step any delivery was scheduled for
+    /// on the `(sender, receiver)` edge.
     edge_last: Vec<u64>,
-    /// Held pre-GST events of the *current* instance.
+    /// Held pre-GST events of the *current* instance, in slot order.
     held: Vec<(u32, u32)>,
     slots_cur: Vec<Vec<u32>>,
     slots_ret: Vec<Vec<u32>>,
     retiring: Option<AsyncRetiring<P>>,
+    /// The current instance's transmissions and interference since its last
+    /// step: its trace counts them at the next step.
+    carried: RoundStats,
     /// Next global step to execute.
     global: u64,
     /// Global step the current instance started at.
@@ -121,48 +150,6 @@ struct AsyncChainState<P: Protocol> {
     cur_report: usize,
     /// The current instance's absolute GST step.
     gst_abs: u64,
-}
-
-/// Runs one node set's protocol hooks against its inbox slots, with faulty
-/// nodes driven by the adversary — [`Network::collect_outgoing`] for a node
-/// set that is not `self.nodes` (the retiring set). Interference telemetry
-/// is not diffed here; chained runs execute with the observer disabled.
-#[allow(clippy::too_many_arguments)]
-fn collect_from<P: Protocol, A: Adversary<P::Message>>(
-    nodes: &mut [P],
-    net: &Network<P>,
-    regime: &Regime,
-    adversary: &mut A,
-    round: Option<Round>,
-    buffer: &[Delivery<P::Message>],
-    slots: &[Vec<u32>],
-) -> Vec<Vec<Outgoing<P::Message>>> {
-    let mut all = Vec::with_capacity(nodes.len());
-    for (v, node) in nodes.iter_mut().enumerate() {
-        let id = lbc_model::NodeId::new(v);
-        let ctx = NodeContext {
-            id,
-            graph: &net.graph,
-            f: net.f,
-            regime,
-            step: round,
-            arena: &net.arena,
-            ledger: &net.ledger,
-            observer: &net.observer,
-        };
-        let inbox = Inbox::indexed(buffer, &slots[v]);
-        let honest = match round {
-            None => node.on_start(&ctx),
-            Some(r) => node.on_round(&ctx, r, inbox),
-        };
-        let outgoing = if net.faulty.contains(id) {
-            adversary.intercept(&ctx, round, honest, inbox)
-        } else {
-            honest
-        };
-        all.push(outgoing);
-    }
-    all
 }
 
 impl<P: Protocol> Network<P> {
@@ -174,7 +161,9 @@ impl<P: Protocol> Network<P> {
     /// Each instance gets at most `max_steps_per_instance` steps. Instance
     /// `k + 1` starts while instance `k`'s flood tail drains (see the
     /// [module docs](self) for the isolation argument); the arena and the
-    /// ledger's pair-path memos stay warm across instances.
+    /// ledger's pair-path memos stay warm across instances. An attached
+    /// observer receives every step's events; the run-level `RunStart` and
+    /// `RunEnd` events are [`Network::run_under`]'s.
     ///
     /// # Panics
     ///
@@ -201,9 +190,13 @@ impl<P: Protocol> Network<P> {
         }
     }
 
-    /// Folds the ledger's and arena's current occupancy into the chain
-    /// high-water marks; sampled at every instance end.
-    fn note_ledger(&self, stats: &mut ChainStats) {
+    /// Closes the current instance's report and folds the ledger's and
+    /// arena's occupancy into the chain high-water marks.
+    fn finish_instance(&self, report: &mut InstanceReport, trace: Trace, stats: &mut ChainStats) {
+        report.steps = trace.rounds();
+        report.trace = trace;
+        report.outputs = self.nodes.iter().map(Protocol::output).collect();
+        report.all_non_faulty_terminated = self.all_non_faulty_terminated();
         let ledger = self.ledger.borrow();
         stats.max_live_channels = stats.max_live_channels.max(ledger.live_channels());
         stats.max_allocated_channels = stats
@@ -214,6 +207,34 @@ impl<P: Protocol> Network<P> {
             .max(ledger.max_live_channels_per_tag());
         stats.live_tags = stats.live_tags.max(ledger.live_tag_count());
         stats.arena_paths = self.arena.borrow().entry_count();
+    }
+
+    /// [`Network::collect_outgoing`] for a retiring node set: the two sets
+    /// trade places for the call. The retiring instance's trace is closed,
+    /// so its interference is not counted.
+    fn collect_retiring<A>(
+        &mut self,
+        nodes: &mut Vec<P>,
+        regime: &Regime,
+        adversary: &mut A,
+        round: Round,
+        buffer: &[Delivery<P::Message>],
+        slots: &[Vec<u32>],
+    ) -> Vec<Vec<Outgoing<P::Message>>>
+    where
+        A: Adversary<P::Message>,
+    {
+        std::mem::swap(&mut self.nodes, nodes);
+        let outgoing = self.collect_outgoing(
+            regime,
+            adversary,
+            Some(round),
+            buffer,
+            slots,
+            &mut RoundStats::default(),
+        );
+        std::mem::swap(&mut self.nodes, nodes);
+        outgoing
     }
 
     /// One lockstep round of the retiring set's tail: deliver its pending
@@ -233,38 +254,23 @@ impl<P: Protocol> Network<P> {
         let Some(r) = retiring.as_mut() else { return };
         stats.drained_steps += 1;
         let round = Round::new(r.round);
-        let round_stats = self.deliver(
-            std::mem::take(&mut r.pending),
-            buffer,
-            slots,
-            Moment::Step(r.round),
-            round,
-        );
+        let delivered = self.deliver(std::mem::take(&mut r.pending), buffer, slots, round);
         let regime = Regime::Synchronous;
-        let pending = collect_from(
-            &mut r.nodes,
-            self,
-            &regime,
-            adversary,
-            Some(round),
-            buffer,
-            slots,
-        );
+        let pending = self.collect_retiring(&mut r.nodes, &regime, adversary, round, buffer, slots);
         r.round += 1;
-        let report = r.report;
-        let quiet = pending.iter().all(Vec::is_empty);
-        r.pending = pending;
-        reports[report].transmissions += round_stats.transmissions;
-        reports[report].deliveries += round_stats.deliveries;
-        if quiet {
+        reports[r.report].transmissions += delivered.transmissions;
+        reports[r.report].deliveries += delivered.deliveries;
+        if pending.iter().all(Vec::is_empty) {
             *retiring = None;
+        } else {
+            r.pending = pending;
         }
     }
 
-    /// The synchronous chained loop: the lockstep round structure of
-    /// [`Network::run`], with the finishing instance's undelivered final
-    /// round handed to a retiring set that drains (on its own buffer, to its
-    /// own nodes) alongside the next instance's rounds.
+    /// The lockstep loop: round `r`'s transmissions reach every receiver at
+    /// round `r + 1`. A finishing instance's undelivered final round is
+    /// handed to a retiring set that drains (on its own buffer, to its own
+    /// nodes) alongside the next instance's rounds.
     fn run_chain_sync<A, F>(
         &mut self,
         adversary: &mut A,
@@ -280,6 +286,9 @@ impl<P: Protocol> Network<P> {
         let n = self.nodes.len();
         let mut reports: Vec<InstanceReport> = Vec::with_capacity(instances);
         let mut stats = ChainStats::default();
+        // Zero-clone delivery state, allocated once and reused across
+        // rounds: a round's transmissions live exactly once in `buffer`, and
+        // each node's inbox is a list of `u32` slots into it.
         let mut buffer: Vec<Delivery<P::Message>> = Vec::new();
         let mut slots: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut ret_buffer: Vec<Delivery<P::Message>> = Vec::new();
@@ -328,6 +337,9 @@ impl<P: Protocol> Network<P> {
                 }
             }
             reports.push(InstanceReport::default());
+            let mut trace = Trace::new();
+            // Interference the adversary applies at collection time is
+            // counted in the round that delivers the affected transmissions.
             let mut interference = RoundStats::default();
             let mut pending =
                 self.collect_outgoing(&regime, adversary, None, &buffer, &slots, &mut interference);
@@ -337,9 +349,11 @@ impl<P: Protocol> Network<P> {
                     break;
                 }
                 if self.cancel_requested() {
+                    self.observer.emit(|| Event::RunInterrupted { step: local });
                     cancelled = true;
                     break;
                 }
+                self.observer.emit(|| Event::StepStart { step: local });
                 self.sync_drain_round(
                     &mut retiring,
                     adversary,
@@ -349,10 +363,11 @@ impl<P: Protocol> Network<P> {
                     &mut stats,
                 );
                 let round = Round::new(local);
-                let round_stats =
-                    self.deliver(pending, &mut buffer, &mut slots, Moment::Step(local), round);
-                reports[instance].transmissions += round_stats.transmissions;
-                reports[instance].deliveries += round_stats.deliveries;
+                let mut delivered = self.deliver(pending, &mut buffer, &mut slots, round);
+                reports[instance].transmissions += delivered.transmissions;
+                reports[instance].deliveries += delivered.deliveries;
+                delivered.add(&std::mem::take(&mut interference));
+                trace.push_round(&delivered);
                 pending = self.collect_outgoing(
                     &regime,
                     adversary,
@@ -363,10 +378,7 @@ impl<P: Protocol> Network<P> {
                 );
                 local += 1;
             }
-            reports[instance].steps = local as usize;
-            reports[instance].outputs = self.nodes.iter().map(Protocol::output).collect();
-            reports[instance].all_non_faulty_terminated = self.all_non_faulty_terminated();
-            self.note_ledger(&mut stats);
+            self.finish_instance(&mut reports[instance], trace, &mut stats);
             if cancelled {
                 break;
             }
@@ -374,8 +386,8 @@ impl<P: Protocol> Network<P> {
             tail_round = local;
         }
         // Flush the second-to-last instance's tail so its accounting closes;
-        // the final instance's own tail is dropped exactly as one-shot runs
-        // drop theirs at termination.
+        // the final instance's own tail is never delivered: no instance
+        // follows it.
         let mut guard = 0usize;
         while retiring.is_some() && !cancelled && guard < max_rounds {
             self.sync_drain_round(
@@ -391,11 +403,15 @@ impl<P: Protocol> Network<P> {
         (reports, stats)
     }
 
-    /// One step of the chained event loop: release the due bucket (plus the
-    /// current instance's GST burst when due), route deliveries to the
-    /// owning instance's node set, collect + enqueue the retiring set's
-    /// forwards and then the current set's, and retire the old set once its
-    /// events quiesce.
+    /// One step of the event loop: release the due bucket (plus the current
+    /// instance's GST burst when due), route deliveries to the owning
+    /// instance's node set, collect + enqueue the retiring set's forwards
+    /// and then the current set's, and retire the old set once its events
+    /// quiesce.
+    ///
+    /// Returns the step as the current instance's trace counts it: what the
+    /// step released to the instance, plus the transmissions and
+    /// interference carried from its previous collection.
     fn async_chain_step<A>(
         &mut self,
         st: &mut AsyncChainState<P>,
@@ -403,9 +419,12 @@ impl<P: Protocol> Network<P> {
         adversary: &mut A,
         reports: &mut [InstanceReport],
         stats: &mut ChainStats,
-    ) where
+    ) -> RoundStats
+    where
         A: Adversary<P::Message>,
     {
+        let step = st.global;
+        self.observer.emit(|| Event::StepStart { step });
         let horizon = st.due.len() as u64;
         for inbox in st.slots_cur.iter_mut() {
             inbox.clear();
@@ -413,31 +432,50 @@ impl<P: Protocol> Network<P> {
         for inbox in st.slots_ret.iter_mut() {
             inbox.clear();
         }
-        let bucket = (st.global % horizon) as usize;
-        let mut released = std::mem::take(&mut st.due[bucket]);
-        if st.pre.is_some() && st.global == st.gst_abs && !st.held.is_empty() {
+        let mut current = std::mem::take(&mut st.carried);
+        let mut released = std::mem::take(&mut st.due[(step % horizon) as usize]);
+        if st.pre.is_some() && step == st.gst_abs && !st.held.is_empty() {
+            // The GST burst: every withheld pre-GST event lands now, merged
+            // into slot order with the step's fair deliveries.
+            let count = st.held.len();
+            current.burst_deliveries = count;
+            self.observer.emit(|| Event::BurstRelease { step, count });
             released.append(&mut st.held);
         }
+        // Per receiver, deliveries arrive in global transmission order.
+        // Without a retiring set every pending event is the current
+        // instance's, so routing skips the owner lookup.
         released.sort_unstable();
+        let routed = st.retiring.is_some();
         for (slot, receiver) in released {
-            if st.owner[slot as usize] as usize == st.cur_report {
-                st.slots_cur[receiver as usize].push(slot);
-                reports[st.cur_report].deliveries += 1;
+            let inboxes = if !routed || st.owner[slot as usize] as usize == st.cur_report {
+                current.deliveries += 1;
+                &mut st.slots_cur
             } else if let Some(r) = st.retiring.as_ref() {
-                st.slots_ret[receiver as usize].push(slot);
                 reports[r.report].deliveries += 1;
-            }
-            // Events of a hard-dropped instance (backstop only) fall through.
+                &mut st.slots_ret
+            } else {
+                // Events of a hard-dropped instance (backstop only).
+                continue;
+            };
+            inboxes[receiver as usize].push(slot);
+            self.observer.emit(|| Event::Delivery {
+                step,
+                to: NodeId::new(receiver as usize),
+                from: st.buffer[slot as usize].from,
+                slot,
+                meta: st.buffer[slot as usize].message.meta(&self.arena),
+            });
         }
+        reports[st.cur_report].deliveries += current.deliveries;
         if let Some(r) = st.retiring.as_mut() {
             stats.drained_steps += 1;
-            let round = Round::new(st.global - r.start);
-            let outgoing = collect_from(
+            let round = Round::new(step - r.start);
+            let outgoing = self.collect_retiring(
                 &mut r.nodes,
-                self,
                 regime,
                 adversary,
-                Some(round),
+                round,
                 &st.buffer,
                 &st.slots_ret,
             );
@@ -448,8 +486,8 @@ impl<P: Protocol> Network<P> {
                 &st.config,
                 None,
                 outgoing,
-                st.global + 1,
-                Moment::Step(st.global),
+                step + 1,
+                Moment::Step(step),
                 &mut st.buffer,
                 &mut st.due,
                 &mut st.edge_last,
@@ -470,41 +508,52 @@ impl<P: Protocol> Network<P> {
                 st.retiring = None;
             }
         }
-        let round = Round::new(st.global - st.cur_start);
-        let mut interference = RoundStats::default();
+        let round = Round::new(step - st.cur_start);
         let outgoing = self.collect_outgoing(
             regime,
             adversary,
             Some(round),
             &st.buffer,
             &st.slots_cur,
-            &mut interference,
+            &mut st.carried,
         );
-        let mut rs = RoundStats::default();
         let psync = st.pre.map(|p| (st.gst_abs, p));
         self.enqueue_async(
             &st.config,
             psync,
             outgoing,
-            st.global + 1,
-            Moment::Step(st.global),
+            step + 1,
+            Moment::Step(step),
             &mut st.buffer,
             &mut st.due,
             &mut st.edge_last,
             &mut st.held,
-            &mut rs,
+            &mut st.carried,
         );
         st.owner.resize(st.buffer.len(), st.cur_report as u32);
-        reports[st.cur_report].transmissions += rs.transmissions;
+        reports[st.cur_report].transmissions += st.carried.transmissions;
         st.global += 1;
+        current
     }
 
-    /// The event-scheduled chained loop (asynchronous and partial-synchrony
-    /// regimes): one continuous global step counter, an append-only buffer
-    /// whose slots are stamped with their emitting instance, and per-edge
-    /// FIFO clamps carried across instance boundaries. GST is
-    /// instance-relative: each instance's hold window covers its own first
-    /// `gst` steps and bursts exactly as a one-shot run's would.
+    /// The event-scheduled loop of the asynchronous and partial-synchrony
+    /// regimes.
+    ///
+    /// Transmissions are appended once to a chain-wide buffer whose slots
+    /// are stamped with their emitting instance; each `(transmission,
+    /// receiver)` pair becomes a delivery event scheduled `lag ∈ 1..=D`
+    /// steps ahead by the regime's deterministic scheduler, clamped so
+    /// per-edge FIFO order holds. Every step delivers the due events (in
+    /// global transmission order per receiver) and runs every node's
+    /// `on_round` hook, empty inbox or not. One global step counter runs
+    /// through the whole chain, and the FIFO clamps carry across instance
+    /// boundaries.
+    ///
+    /// Under partial synchrony a transmission whose earliest landing step
+    /// is before GST and whose *sender* is in the hold-set is withheld from
+    /// the ring and burst-released at GST (see [`Network::enqueue_async`]).
+    /// GST is instance-relative: each instance's hold window covers its own
+    /// first `gst` steps and bursts exactly as a one-shot run's would.
     fn run_chain_async<A, F>(
         &mut self,
         regime: &Regime,
@@ -537,6 +586,7 @@ impl<P: Protocol> Network<P> {
             slots_cur: vec![Vec::new(); n],
             slots_ret: vec![Vec::new(); n],
             retiring: None,
+            carried: RoundStats::default(),
             global: 0,
             cur_start: 0,
             cur_report: 0,
@@ -599,22 +649,23 @@ impl<P: Protocol> Network<P> {
                 st.gst_abs = st.global + gst;
             }
             reports.push(InstanceReport::default());
+            let mut trace = Trace::new();
             for inbox in st.slots_cur.iter_mut() {
                 inbox.clear();
             }
-            let mut interference = RoundStats::default();
+            st.carried = RoundStats::default();
             let pending = self.collect_outgoing(
                 regime,
                 adversary,
                 None,
                 &st.buffer,
                 &st.slots_cur,
-                &mut interference,
+                &mut st.carried,
             );
-            let mut rs = RoundStats::default();
             let psync = st.pre.map(|p| (st.gst_abs, p));
             // Start transmissions behave as if emitted one step before the
-            // instance's first executed step, exactly as one-shot runs do.
+            // instance's first executed step: with the minimum lag of 1
+            // they land on that step, exactly as under the lockstep loop.
             self.enqueue_async(
                 &st.config,
                 psync,
@@ -625,10 +676,10 @@ impl<P: Protocol> Network<P> {
                 &mut st.due,
                 &mut st.edge_last,
                 &mut st.held,
-                &mut rs,
+                &mut st.carried,
             );
             st.owner.resize(st.buffer.len(), instance as u32);
-            reports[instance].transmissions += rs.transmissions;
+            reports[instance].transmissions += st.carried.transmissions;
 
             loop {
                 if (st.global - st.cur_start) as usize >= max_steps {
@@ -638,21 +689,22 @@ impl<P: Protocol> Network<P> {
                     break;
                 }
                 if self.cancel_requested() {
+                    let step = st.global;
+                    self.observer.emit(|| Event::RunInterrupted { step });
                     cancelled = true;
                     break;
                 }
-                self.async_chain_step(&mut st, regime, adversary, &mut reports, &mut stats);
+                let step =
+                    self.async_chain_step(&mut st, regime, adversary, &mut reports, &mut stats);
+                trace.push_round(&step);
             }
-            reports[instance].steps = (st.global - st.cur_start) as usize;
-            reports[instance].outputs = self.nodes.iter().map(Protocol::output).collect();
-            reports[instance].all_non_faulty_terminated = self.all_non_faulty_terminated();
-            self.note_ledger(&mut stats);
+            self.finish_instance(&mut reports[instance], trace, &mut stats);
             if cancelled {
                 break;
             }
         }
         // Close the second-to-last instance's accounting; the final
-        // instance's own tail is dropped as one-shot runs drop theirs.
+        // instance's own tail is never delivered: no instance follows it.
         let mut guard = 0usize;
         while st.retiring.is_some() && !cancelled && guard < max_steps {
             self.async_chain_step(&mut st, regime, adversary, &mut reports, &mut stats);
@@ -666,9 +718,10 @@ impl<P: Protocol> Network<P> {
 mod tests {
     use super::*;
     use crate::adversary::honest_adversary;
-    use crate::protocol::EchoOnce;
+    use crate::protocol::{EchoOnce, Inbox, NodeContext};
     use lbc_graph::generators;
     use lbc_model::{CommModel, NodeSet, SchedulerKind};
+    use lbc_telemetry::ObserverHandle;
 
     fn echo_nodes(n: usize, flip: bool) -> Vec<EchoOnce> {
         (0..n)
@@ -707,32 +760,101 @@ mod tests {
         assert!(stats.max_live_per_tag <= 2);
     }
 
-    #[test]
-    fn chain_of_one_matches_the_one_shot_run() {
-        for regime in [
-            Regime::Synchronous,
-            Regime::Asynchronous(AsyncRegime {
-                scheduler: SchedulerKind::EdgeLag,
-                delay: 3,
-                seed: 17,
-            }),
-        ] {
-            let one_shot = network(6).run_under(&regime, &mut honest_adversary(), 30);
-            let mut net = network(6);
-            let (reports, _) =
-                net.run_chain(&regime, &mut honest_adversary(), 30, 1, |_| unreachable!());
-            assert_eq!(reports.len(), 1);
-            assert_eq!(reports[0].outputs, one_shot.outputs, "{regime:?}");
-            assert_eq!(
-                reports[0].all_non_faulty_terminated,
-                one_shot.all_non_faulty_terminated
-            );
-            assert_eq!(
-                reports[0].transmissions,
-                one_shot.trace.total_transmissions(),
-                "{regime:?}"
-            );
+    /// Broadcasts its input at start and after each of its first three
+    /// rounds, deciding it after the third: every instance leaves a final
+    /// round undelivered, which the next instance drains.
+    #[derive(Debug)]
+    struct Chatter {
+        input: Value,
+        rounds: u64,
+    }
+
+    impl Protocol for Chatter {
+        type Message = Value;
+
+        fn on_start(&mut self, _ctx: &NodeContext<'_>) -> Vec<Outgoing<Value>> {
+            vec![Outgoing::Broadcast(self.input)]
         }
+
+        fn on_round(
+            &mut self,
+            _ctx: &NodeContext<'_>,
+            _round: Round,
+            _inbox: Inbox<'_, Value>,
+        ) -> Vec<Outgoing<Value>> {
+            self.rounds += 1;
+            if self.rounds <= 3 {
+                vec![Outgoing::Broadcast(self.input)]
+            } else {
+                Vec::new()
+            }
+        }
+
+        fn output(&self) -> Option<Value> {
+            (self.rounds >= 3).then_some(self.input)
+        }
+    }
+
+    #[test]
+    fn observed_sync_chain_stamps_transmissions_with_the_round_that_produced_them() {
+        let chatter = |flip: bool| -> Vec<Chatter> {
+            (0..5)
+                .map(|v| Chatter {
+                    input: Value::from((v % 2 == 0) ^ flip),
+                    rounds: 0,
+                })
+                .collect()
+        };
+        let (observer, recorder) = ObserverHandle::recorder();
+        let mut net = Network::new(
+            generators::cycle(5),
+            CommModel::LocalBroadcast,
+            NodeSet::new(),
+            chatter(false),
+        )
+        .with_observer(observer);
+        let (reports, stats) =
+            net.run_chain(&Regime::Synchronous, &mut honest_adversary(), 10, 2, |_| {
+                chatter(true)
+            });
+        assert!(reports.iter().all(|r| r.all_non_faulty_terminated));
+        assert!(stats.drained_steps > 0, "the first instance's tail drains");
+        let events = recorder.borrow().events().to_vec();
+        // Each instance's five start broadcasts were produced at its start.
+        let starts = events
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    Event::Transmission {
+                        at: Moment::Start,
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert_eq!(starts, 10);
+        // Every delivery follows its transmission in the stream and lands
+        // on a later step than the one that produced it.
+        let mut produced = std::collections::HashMap::new();
+        let mut deliveries = 0;
+        for event in &events {
+            match event {
+                Event::Transmission { at, from, slot, .. } => {
+                    produced.insert((*from, *slot), *at);
+                }
+                Event::Delivery {
+                    step, from, slot, ..
+                } => {
+                    let at = produced[&(*from, *slot)];
+                    assert!(at < Moment::Step(*step), "{at:?} delivered at {step}");
+                    deliveries += 1;
+                }
+                _ => {}
+            }
+        }
+        let reported: usize = reports.iter().map(|r| r.deliveries).sum();
+        assert_eq!(deliveries, reported);
     }
 
     #[test]

@@ -1,10 +1,15 @@
 //! # lbc-sim
 //!
-//! Deterministic synchronous round-based network simulator for the
-//! local-broadcast Byzantine consensus workspace.
+//! Deterministic network simulator for the local-broadcast Byzantine
+//! consensus workspace.
 //!
 //! The simulator executes a [`Protocol`] instance per node of an undirected
-//! communication graph in lock-step rounds. The communication model
+//! communication graph, in one of two step loops: lockstep rounds for the
+//! synchronous regime, or event-scheduled steps for the asynchronous and
+//! partial-synchrony regimes ([`lbc_model::Regime`]). Either loop runs a
+//! chain of consecutive consensus instances over one network
+//! ([`Network::run_chain`]); a one-shot run ([`Network::run_under`]) is a
+//! chain of one. The communication model
 //! ([`lbc_model::CommModel`]) governs what the *physical layer* does with a
 //! transmission:
 //!
@@ -57,7 +62,7 @@ pub use network::{Network, RunReport};
 pub use protocol::{
     ByzantineMessage, Delivery, EchoOnce, Inbox, InboxIter, NodeContext, Outgoing, Protocol,
 };
-pub use trace::{RoundStats, Trace, TraceSummary};
+pub use trace::{Trace, TraceSummary};
 
 // Telemetry vocabulary, re-exported so downstream crates (protocols,
 // adversaries, the lower-bound engine) can implement `MessageView` or attach

@@ -3,16 +3,19 @@
 //! One [`Network`] executes one [`Protocol`] instance per node under an
 //! execution [`Regime`]:
 //!
-//! * **synchronous** — the original lockstep loop, byte-for-byte: round `r`'s
-//!   transmissions are delivered to every receiver at round `r + 1`;
+//! * **synchronous** — lockstep rounds: round `r`'s transmissions are
+//!   delivered to every receiver at round `r + 1`;
 //! * **asynchronous** — every `(transmission, receiver)` pair is scheduled
 //!   individually by the regime's deterministic scheduler, subject to the
 //!   eventual-fairness bound (a transmission reaches each receiver within
 //!   `D` steps) and per-edge FIFO order (a physical local-broadcast channel
 //!   delivers one sender's transmissions in order, whatever the lag).
 //!
-//! Both regimes share the zero-clone delivery fabric: a transmission lives
-//! once in a shared buffer and inboxes are slot indices into it.
+//! A one-shot run ([`Network::run_under`]) is a chain of one instance, so
+//! the two step loops live with the chained driver in the `chain` module;
+//! this module holds what they share. Both regimes use the zero-clone
+//! delivery fabric: a transmission lives once in a shared buffer and
+//! inboxes are slot indices into it.
 
 use lbc_graph::Graph;
 use lbc_model::{
@@ -23,6 +26,7 @@ use lbc_telemetry::{Event, MessageView, Moment, ObserverHandle};
 
 use crate::adversary::Adversary;
 use crate::cancel::CancelToken;
+use crate::chain::InstanceReport;
 use crate::protocol::{Delivery, Inbox, NodeContext, Outgoing, Protocol};
 use crate::trace::{RoundStats, Trace};
 
@@ -193,11 +197,12 @@ impl<P: Protocol> Network<P> {
     /// driving faulty nodes through `adversary`. Stops early once every
     /// non-faulty node reports termination.
     ///
-    /// Under the synchronous regime a step is a lockstep round (the original
-    /// loop, unchanged). Under an asynchronous regime every protocol's
-    /// `on_round` hook is still invoked once per step — with whatever subset
-    /// of in-flight transmissions the scheduler released to that node, which
-    /// may be empty — so regime-aware protocols can count steps against the
+    /// The run is a chain of one instance ([`Network::run_chain`]). Under
+    /// the synchronous regime a step is a lockstep round. Under an
+    /// asynchronous regime every protocol's `on_round` hook is still
+    /// invoked once per step — with whatever subset of in-flight
+    /// transmissions the scheduler released to that node, which may be
+    /// empty — so regime-aware protocols can count steps against the
     /// fairness bound exposed by [`NodeContext::regime`].
     pub fn run_under<A>(
         &mut self,
@@ -219,241 +224,27 @@ impl<P: Protocol> Network<P> {
                 regime: format!("{regime:?}"),
             });
         }
-        let report = match regime {
-            Regime::Synchronous => self.run_synchronous(adversary, max_rounds),
-            Regime::Asynchronous(config) => {
-                self.run_asynchronous(regime, *config, None, adversary, max_rounds)
-            }
-            Regime::PartialSync { gst, pre, post } => self.run_asynchronous(
-                regime,
-                *post,
-                Some((u64::from(*gst), *pre)),
-                adversary,
-                max_rounds,
-            ),
-        };
+        let (mut reports, _) = self.run_chain(regime, adversary, max_rounds, 1, |_| {
+            unreachable!("a one-shot run has a single instance")
+        });
+        let InstanceReport {
+            outputs,
+            all_non_faulty_terminated,
+            trace,
+            ..
+        } = reports.pop().expect("a chain reports its first instance");
         if self.observer.enabled() {
             self.observer.emit(|| Event::RunEnd {
-                rounds: report.trace.rounds(),
+                rounds: trace.rounds(),
                 arena_paths: self.arena.borrow().entry_count(),
                 live_channels: self.ledger.borrow().live_channels(),
                 allocated_channels: self.ledger.borrow().allocated_channels(),
             });
             self.ledger.set_event_log(false);
         }
-        report
-    }
-
-    /// The lockstep loop: the synchronous regime's implementation, kept
-    /// byte-identical to the pre-regime simulator.
-    fn run_synchronous<A>(&mut self, adversary: &mut A, max_rounds: usize) -> RunReport
-    where
-        A: Adversary<P::Message>,
-    {
-        let mut trace = Trace::new();
-
-        // Zero-clone delivery state, allocated once and reused across
-        // rounds: a round's transmissions live exactly once in `buffer`, and
-        // each node's inbox is a list of `u32` slots into it. Delivering a
-        // broadcast to `deg(sender)` neighbors pushes indices, not message
-        // clones, so the per-round delivery cost no longer scales with the
-        // message size at all.
-        let mut buffer: Vec<Delivery<P::Message>> = Vec::new();
-        let mut slots: Vec<Vec<u32>> = vec![Vec::new(); self.nodes.len()];
-
-        // Start-of-execution transmissions. Interference the adversary
-        // applies at collection time is folded into the round the affected
-        // transmissions would have been delivered in.
-        let regime = Regime::Synchronous;
-        let mut interference = RoundStats::default();
-        let mut produced_at = Moment::Start;
-        let mut pending =
-            self.collect_outgoing(&regime, adversary, None, &buffer, &slots, &mut interference);
-
-        for round_index in 0..max_rounds {
-            if self.all_non_faulty_terminated() {
-                break;
-            }
-            if self.cancel_requested() {
-                self.observer.emit(|| Event::RunInterrupted {
-                    step: round_index as u64,
-                });
-                break;
-            }
-            let round = Round::new(round_index as u64);
-            self.observer.emit(|| Event::StepStart {
-                step: round.value(),
-            });
-            let mut stats = self.deliver(pending, &mut buffer, &mut slots, produced_at, round);
-            stats.absorb_interference(&interference);
-            interference = RoundStats::default();
-            trace.push_round(stats);
-            produced_at = Moment::Step(round.value());
-            pending = self.collect_outgoing(
-                &regime,
-                adversary,
-                Some(round),
-                &buffer,
-                &slots,
-                &mut interference,
-            );
-        }
-
-        let outputs = self.nodes.iter().map(Protocol::output).collect();
         RunReport {
             outputs,
-            all_non_faulty_terminated: self.all_non_faulty_terminated(),
-            trace,
-        }
-    }
-
-    /// The event-scheduled loop of the asynchronous and partial-synchrony
-    /// regimes.
-    ///
-    /// Transmissions are appended once to an execution-wide buffer; each
-    /// `(transmission, receiver)` pair becomes a delivery event scheduled
-    /// `lag ∈ 1..=D` steps ahead by the regime's deterministic scheduler,
-    /// clamped so per-edge FIFO order holds. Every step delivers the due
-    /// events (in global transmission order per receiver) and runs every
-    /// node's `on_round` hook, empty inbox or not.
-    ///
-    /// With `psync = Some((gst, pre))` the loop runs the partial-synchrony
-    /// regime: a transmission whose earliest landing step is before `gst`
-    /// and whose *sender* is in the `pre` hold-set is withheld from the
-    /// schedule ring entirely and burst-released at step `gst`. Because a
-    /// held sender has **all** of its pre-GST transmissions held, and held
-    /// events release in global transmission (slot) order while the edge's
-    /// FIFO clamp is advanced to `gst`, per-edge FIFO — and with it the
-    /// flood fabric's same-first-message-per-key invariant — survives the
-    /// burst. With `psync = None` (or `gst = 0`) this is exactly the
-    /// asynchronous loop: the hold branch is never taken.
-    fn run_asynchronous<A>(
-        &mut self,
-        regime: &Regime,
-        config: lbc_model::AsyncRegime,
-        psync: Option<(u64, lbc_model::AdversarialSchedule)>,
-        adversary: &mut A,
-        max_steps: usize,
-    ) -> RunReport
-    where
-        A: Adversary<P::Message>,
-    {
-        let n = self.nodes.len();
-        let mut trace = Trace::new();
-        // The execution-wide transmission buffer: a message lives here once,
-        // however many receivers it has and however spread out in time their
-        // deliveries are.
-        let mut buffer: Vec<Delivery<P::Message>> = Vec::new();
-        // due[step % (D+1)] = events due at `step`, filled at enqueue time.
-        // A lag is at most D, so a ring of D+1 step buckets always suffices.
-        // Held pre-GST events live outside the ring (in `held`), so a large
-        // GST does not demand a large ring.
-        let horizon = config.delay as usize + 1;
-        let mut due: Vec<Vec<(u32, u32)>> = vec![Vec::new(); horizon];
-        // Per-edge FIFO clamp: the last step any delivery was scheduled for
-        // on the (sender, receiver) edge.
-        let mut edge_last: Vec<u64> = vec![0; n * n];
-        let mut slots: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut stats_accum = RoundStats::default();
-        // Pre-GST events withheld by the adversarial schedule, in global
-        // transmission (slot) order, awaiting the burst at `gst`.
-        let mut held: Vec<(u32, u32)> = Vec::new();
-
-        let pending =
-            self.collect_outgoing(regime, adversary, None, &buffer, &slots, &mut stats_accum);
-        // Start-of-execution transmissions behave as if emitted at "step
-        // −1": with the minimum lag of 1 they arrive at step 0, exactly as
-        // under the synchronous regime.
-        self.enqueue_async(
-            &config,
-            psync,
-            pending,
-            0,
-            Moment::Start,
-            &mut buffer,
-            &mut due,
-            &mut edge_last,
-            &mut held,
-            &mut stats_accum,
-        );
-
-        for step_index in 0..max_steps {
-            if self.all_non_faulty_terminated() {
-                break;
-            }
-            if self.cancel_requested() {
-                self.observer.emit(|| Event::RunInterrupted {
-                    step: step_index as u64,
-                });
-                break;
-            }
-            self.observer.emit(|| Event::StepStart {
-                step: step_index as u64,
-            });
-            // Release this step's events into the per-node inboxes, in
-            // global transmission (slot) order per receiver.
-            for inbox in slots.iter_mut() {
-                inbox.clear();
-            }
-            let bucket = step_index % horizon;
-            let mut released = std::mem::take(&mut due[bucket]);
-            let mut burst = 0usize;
-            if let Some((gst, _)) = psync {
-                if step_index as u64 == gst {
-                    // The GST burst: every withheld pre-GST event lands now,
-                    // merged into slot order with the step's fair deliveries.
-                    burst = held.len();
-                    released.append(&mut held);
-                    if burst > 0 {
-                        self.observer.emit(|| Event::BurstRelease {
-                            step: step_index as u64,
-                            count: burst,
-                        });
-                    }
-                }
-            }
-            released.sort_unstable();
-            let mut stats = std::mem::take(&mut stats_accum);
-            stats.burst_deliveries += burst;
-            for (slot, receiver) in released {
-                slots[receiver as usize].push(slot);
-                stats.deliveries += 1;
-                self.observer.emit(|| Event::Delivery {
-                    step: step_index as u64,
-                    to: NodeId::new(receiver as usize),
-                    from: buffer[slot as usize].from,
-                    slot,
-                    meta: buffer[slot as usize].message.meta(&self.arena),
-                });
-            }
-            trace.push_round(stats);
-            let round = Round::new(step_index as u64);
-            let pending = self.collect_outgoing(
-                regime,
-                adversary,
-                Some(round),
-                &buffer,
-                &slots,
-                &mut stats_accum,
-            );
-            self.enqueue_async(
-                &config,
-                psync,
-                pending,
-                step_index as u64 + 1,
-                Moment::Step(step_index as u64),
-                &mut buffer,
-                &mut due,
-                &mut edge_last,
-                &mut held,
-                &mut stats_accum,
-            );
-        }
-
-        let outputs = self.nodes.iter().map(Protocol::output).collect();
-        RunReport {
-            outputs,
-            all_non_faulty_terminated: self.all_non_faulty_terminated(),
+            all_non_faulty_terminated,
             trace,
         }
     }
@@ -464,7 +255,10 @@ impl<P: Protocol> Network<P> {
     /// partial synchrony (`psync = Some`), events of held senders with
     /// `base < gst` go to `held` instead of the ring, and the edge's FIFO
     /// clamp advances to `gst` so later fair deliveries on that edge cannot
-    /// overtake the burst.
+    /// overtake the burst. Because a held sender has **all** of its pre-GST
+    /// transmissions held, and held events release in global transmission
+    /// (slot) order, per-edge FIFO — and with it the flood fabric's
+    /// same-first-message-per-key invariant — survives the burst.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn enqueue_async(
         &self,
@@ -677,10 +471,11 @@ impl<P: Protocol> Network<P> {
         all_outgoing
     }
 
-    /// Applies the communication model to the pending transmissions: moves
-    /// each message **once** into the shared round buffer and fills each
-    /// node's inbox with slot indices, returning the round's statistics.
-    /// No message is ever cloned, no matter how many neighbors receive it.
+    /// Applies the communication model to the pending transmissions of the
+    /// lockstep loop, produced one round before `round`: moves each message
+    /// **once** into the shared round buffer and fills each node's inbox
+    /// with slot indices, returning the round's statistics. No message is
+    /// ever cloned, no matter how many neighbors receive it.
     ///
     /// Deliveries are ordered by sender id and, per sender, by transmission
     /// order (FIFO links).
@@ -689,7 +484,6 @@ impl<P: Protocol> Network<P> {
         pending: Vec<Vec<Outgoing<P::Message>>>,
         buffer: &mut Vec<Delivery<P::Message>>,
         slots: &mut [Vec<u32>],
-        produced_at: Moment,
         round: Round,
     ) -> RoundStats {
         buffer.clear();
@@ -697,6 +491,7 @@ impl<P: Protocol> Network<P> {
             inbox.clear();
         }
         let step = round.value();
+        let produced_at = step.checked_sub(1).map_or(Moment::Start, Moment::Step);
         let mut stats = RoundStats::default();
         for (sender_index, sender_pending) in pending.into_iter().enumerate() {
             let sender = NodeId::new(sender_index);

@@ -2,9 +2,9 @@
 
 use lbc_model::json::{FromJson, Json, JsonError, ToJson};
 
-/// Per-round statistics recorded by the simulator.
+/// One step's statistics, as the step loops hand them to [`Trace`].
 ///
-/// Besides the message-complexity counters, each round quantifies the fault
+/// Besides the message-complexity counters, a step quantifies the fault
 /// pressure the adversary applied: how many honest transmissions were
 /// altered, suppressed, or outnumbered by injected conflicts, and how many
 /// deliveries arrived via the partial-synchrony GST burst. The adversary
@@ -12,30 +12,27 @@ use lbc_model::json::{FromJson, Json, JsonError, ToJson};
 /// against what its adversary actually transmitted, so they are exact and
 /// regime-independent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RoundStats {
-    /// Number of transmissions performed in this round (one broadcast or one
-    /// unicast counts as one transmission).
-    pub transmissions: usize,
-    /// Number of message deliveries in this round (a broadcast to `d`
-    /// neighbors counts as `d` deliveries).
-    pub deliveries: usize,
+pub(crate) struct RoundStats {
+    /// Transmissions (one broadcast or one unicast counts as one).
+    pub(crate) transmissions: usize,
+    /// Deliveries (a broadcast to `d` neighbors counts as `d`).
+    pub(crate) deliveries: usize,
     /// Honest transmissions whose payload the adversary altered in place.
-    pub tampered: usize,
+    pub(crate) tampered: usize,
     /// Honest transmissions the adversary suppressed.
-    pub omitted: usize,
+    pub(crate) omitted: usize,
     /// Conflicting transmissions the adversary injected beyond the honest
     /// set (equivocation pressure).
-    pub equivocated: usize,
+    pub(crate) equivocated: usize,
     /// Deliveries that arrived via the held-then-burst release at GST.
-    pub burst_deliveries: usize,
+    pub(crate) burst_deliveries: usize,
 }
 
 impl RoundStats {
-    /// Adds the adversary-interference counters of `other` into `self`
-    /// (message-complexity counters are untouched). The engines tally
-    /// interference at collection time and fold it into the round the
-    /// affected transmissions would have been delivered in.
-    pub fn absorb_interference(&mut self, other: &RoundStats) {
+    /// Adds every counter of `other` into `self`.
+    pub(crate) fn add(&mut self, other: &RoundStats) {
+        self.transmissions += other.transmissions;
+        self.deliveries += other.deliveries;
         self.tampered += other.tampered;
         self.omitted += other.omitted;
         self.equivocated += other.equivocated;
@@ -46,8 +43,7 @@ impl RoundStats {
 /// The whole-run totals of a [`Trace`], in one flat record.
 ///
 /// This is the per-run statistics surface consumed by result stores (the
-/// campaign report aggregates one `TraceSummary` per scenario) without
-/// holding on to the full per-round breakdown.
+/// campaign report aggregates one `TraceSummary` per scenario).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceSummary {
     /// Number of rounds executed.
@@ -106,65 +102,21 @@ impl FromJson for TraceSummary {
     }
 }
 
-/// The accumulated trace of one simulation run.
+/// The accumulated trace of one simulation run, as running totals.
 ///
 /// The experiment harness uses traces to regenerate the paper's complexity
 /// claims: rounds for Theorem 5.6's `O(n)` bound, transmissions/deliveries
 /// for message-complexity comparisons between Algorithm 1, Algorithm 2 and
 /// the point-to-point baseline.
+///
+/// A step counts the deliveries released in it, plus the transmissions and
+/// the adversary interference of the collection just before it (the start
+/// hooks' collection, for the first step). The collection after the last
+/// executed step precedes no step, so the trace does not count it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
-    rounds: Vec<RoundStats>,
-}
-
-impl ToJson for RoundStats {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("transmissions", self.transmissions.to_json()),
-            ("deliveries", self.deliveries.to_json()),
-            ("tampered", self.tampered.to_json()),
-            ("omitted", self.omitted.to_json()),
-            ("equivocated", self.equivocated.to_json()),
-            ("burst_deliveries", self.burst_deliveries.to_json()),
-        ])
-    }
-}
-
-impl FromJson for RoundStats {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let field = |key: &str| {
-            value.get(key).ok_or_else(|| JsonError {
-                message: format!("round stats missing '{key}'"),
-            })
-        };
-        // Adversary counters default to 0 for pre-telemetry round records.
-        let optional = |key: &str| match value.get(key) {
-            Some(v) => usize::from_json(v),
-            None => Ok(0),
-        };
-        Ok(RoundStats {
-            transmissions: usize::from_json(field("transmissions")?)?,
-            deliveries: usize::from_json(field("deliveries")?)?,
-            tampered: optional("tampered")?,
-            omitted: optional("omitted")?,
-            equivocated: optional("equivocated")?,
-            burst_deliveries: optional("burst_deliveries")?,
-        })
-    }
-}
-
-impl ToJson for Trace {
-    fn to_json(&self) -> Json {
-        self.rounds.to_json()
-    }
-}
-
-impl FromJson for Trace {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(Trace {
-            rounds: Vec::<RoundStats>::from_json(value)?,
-        })
-    }
+    rounds: usize,
+    totals: RoundStats,
 }
 
 impl Trace {
@@ -174,46 +126,49 @@ impl Trace {
         Trace::default()
     }
 
-    /// Appends the statistics of one round.
-    pub fn push_round(&mut self, stats: RoundStats) {
-        self.rounds.push(stats);
+    /// Adds one executed step.
+    pub(crate) fn push_round(&mut self, stats: &RoundStats) {
+        self.rounds += 1;
+        self.totals.add(stats);
     }
 
     /// Number of rounds executed.
     #[must_use]
     pub fn rounds(&self) -> usize {
-        self.rounds.len()
-    }
-
-    /// Per-round statistics, in execution order.
-    #[must_use]
-    pub fn round_stats(&self) -> &[RoundStats] {
-        &self.rounds
+        self.rounds
     }
 
     /// Total transmissions over the whole execution.
     #[must_use]
     pub fn total_transmissions(&self) -> usize {
-        self.rounds.iter().map(|r| r.transmissions).sum()
+        self.totals.transmissions
     }
 
     /// Total deliveries over the whole execution.
     #[must_use]
     pub fn total_deliveries(&self) -> usize {
-        self.rounds.iter().map(|r| r.deliveries).sum()
+        self.totals.deliveries
     }
 
     /// The whole-run totals as one flat record.
     #[must_use]
     pub fn summary(&self) -> TraceSummary {
+        let RoundStats {
+            transmissions,
+            deliveries,
+            tampered,
+            omitted,
+            equivocated,
+            burst_deliveries,
+        } = self.totals;
         TraceSummary {
-            rounds: self.rounds(),
-            transmissions: self.total_transmissions(),
-            deliveries: self.total_deliveries(),
-            tampered: self.rounds.iter().map(|r| r.tampered).sum(),
-            omitted: self.rounds.iter().map(|r| r.omitted).sum(),
-            equivocated: self.rounds.iter().map(|r| r.equivocated).sum(),
-            burst_deliveries: self.rounds.iter().map(|r| r.burst_deliveries).sum(),
+            rounds: self.rounds,
+            transmissions,
+            deliveries,
+            tampered,
+            omitted,
+            equivocated,
+            burst_deliveries,
         }
     }
 }
@@ -226,52 +181,35 @@ mod tests {
     fn totals_accumulate() {
         let mut trace = Trace::new();
         assert_eq!(trace.rounds(), 0);
-        trace.push_round(RoundStats {
+        trace.push_round(&RoundStats {
             transmissions: 3,
             deliveries: 6,
+            tampered: 1,
             ..RoundStats::default()
         });
-        trace.push_round(RoundStats {
+        trace.push_round(&RoundStats {
             transmissions: 1,
             deliveries: 2,
+            burst_deliveries: 2,
             ..RoundStats::default()
         });
         assert_eq!(trace.rounds(), 2);
         assert_eq!(trace.total_transmissions(), 4);
         assert_eq!(trace.total_deliveries(), 8);
-        assert_eq!(trace.round_stats()[0].transmissions, 3);
+        let summary = trace.summary();
+        assert_eq!((summary.tampered, summary.burst_deliveries), (1, 2));
     }
 
     #[test]
-    fn json_roundtrip() {
+    fn summary_roundtrips() {
         let mut trace = Trace::new();
-        trace.push_round(RoundStats {
-            transmissions: 2,
-            deliveries: 4,
-            ..RoundStats::default()
-        });
-        let json = trace.to_json().to_string();
-        let back = Trace::from_json(&Json::parse(&json).unwrap()).unwrap();
-        assert_eq!(back, trace);
-    }
-
-    #[test]
-    fn summary_flattens_totals_and_roundtrips() {
-        let mut trace = Trace::new();
-        trace.push_round(RoundStats {
+        trace.push_round(&RoundStats {
             transmissions: 3,
             deliveries: 6,
             ..RoundStats::default()
         });
-        trace.push_round(RoundStats {
-            transmissions: 1,
-            deliveries: 2,
-            ..RoundStats::default()
-        });
         let summary = trace.summary();
-        assert_eq!(summary.rounds, 2);
-        assert_eq!(summary.transmissions, 4);
-        assert_eq!(summary.deliveries, 8);
+        assert_eq!(summary.rounds, 1);
         let json = summary.to_json().to_string();
         let back = TraceSummary::from_json(&Json::parse(&json).unwrap()).unwrap();
         assert_eq!(back, summary);

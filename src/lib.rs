@@ -10,7 +10,8 @@
 //!   node sets, communication models, outcomes),
 //! * [`graph`] — the undirected-graph substrate (generators, connectivity,
 //!   Menger-style disjoint paths, cuts),
-//! * [`sim`] — the deterministic synchronous round simulator,
+//! * [`sim`] — the deterministic network simulator (lockstep or
+//!   event-scheduled steps),
 //! * [`adversary`] — Byzantine strategy library,
 //! * [`consensus`] — the paper's algorithms (1, 2, 3), the feasibility
 //!   conditions, and the point-to-point baseline,

@@ -1,7 +1,10 @@
 //! Workspace-level integration tests: the public facade, cross-crate flows,
 //! and the headline claims of the paper exercised end to end.
 
+use local_broadcast_consensus::consensus::AlgorithmKind;
+use local_broadcast_consensus::model::{AdversarialSchedule, AsyncRegime, Regime, SchedulerKind};
 use local_broadcast_consensus::prelude::*;
+use local_broadcast_consensus::sim::{ObserverHandle, TraceSummary};
 use local_broadcast_consensus::{experiments, lowerbound};
 
 /// The paper's headline sufficiency claim, end to end through the facade:
@@ -144,4 +147,143 @@ fn executions_are_deterministic() {
     let (o2, t2) = run();
     assert_eq!(o1, o2);
     assert_eq!(t1, t2);
+}
+
+/// Runs one f = 1 cell three ways: unobserved, under an observer, and as a
+/// chain of one. Returns both trace summaries and the chained instance's
+/// transmission count.
+fn accounting(
+    kind: AlgorithmKind,
+    regime: &Regime,
+    graph: &Graph,
+    strategy: &Strategy,
+    faulty: usize,
+    bits: u64,
+) -> (TraceSummary, TraceSummary, usize) {
+    let inputs = InputAssignment::from_bits(graph.node_count(), bits);
+    let faulty = NodeSet::singleton(NodeId::new(faulty));
+    let (_, plain) = runner::run_kind_under(
+        kind,
+        regime,
+        graph,
+        1,
+        &inputs,
+        &faulty,
+        &mut strategy.clone().into_adversary(),
+    );
+    let (observer, _events) = ObserverHandle::recorder();
+    let (_, observed) = runner::run_kind_observed(
+        kind,
+        regime,
+        graph,
+        1,
+        &inputs,
+        &faulty,
+        &mut strategy.clone().into_adversary(),
+        observer,
+    );
+    let (chained, _) = runner::run_chain_under(
+        kind,
+        regime,
+        graph,
+        1,
+        &faulty,
+        1,
+        |_| inputs.clone(),
+        &mut strategy.clone().into_adversary(),
+    );
+    (
+        plain.summary(),
+        observed.summary(),
+        chained[0].transmissions,
+    )
+}
+
+/// A summary with the given counters and no interference.
+fn totals(rounds: usize, transmissions: usize, deliveries: usize, burst: usize) -> TraceSummary {
+    TraceSummary {
+        rounds,
+        transmissions,
+        deliveries,
+        burst_deliveries: burst,
+        ..TraceSummary::default()
+    }
+}
+
+/// The simulator's accounting, pinned exactly on two lockstep and two
+/// event-scheduled cells. Only an observer measures the adversary's
+/// interference; partial synchrony counts its GST burst either way; and a
+/// chain of one reports the one-shot run's transmissions.
+#[test]
+fn step_accounting_is_pinned_in_both_loops() {
+    let c9 = generators::circulant(9, &[1, 2]);
+    let edge_lag = Regime::Asynchronous(AsyncRegime {
+        scheduler: SchedulerKind::EdgeLag,
+        delay: 4,
+        seed: 7,
+    });
+    let psync = Regime::PartialSync {
+        gst: 12,
+        pre: AdversarialSchedule::holding(&[2]),
+        post: AsyncRegime {
+            scheduler: SchedulerKind::Fifo,
+            delay: 3,
+            seed: 7,
+        },
+    };
+    let interfered = |summary: TraceSummary, tampered, equivocated| TraceSummary {
+        tampered,
+        equivocated,
+        ..summary
+    };
+    let cells = [
+        (
+            AlgorithmKind::Algorithm1,
+            Regime::Synchronous,
+            generators::paper_fig1a(),
+            Strategy::TamperRelays,
+            2,
+            0b0_1101,
+            totals(30, 270, 540, 0),
+            (53, 0),
+        ),
+        (
+            AlgorithmKind::P2pBaseline,
+            Regime::Synchronous,
+            generators::complete(4),
+            Strategy::Equivocate,
+            0,
+            0b0110,
+            totals(24, 384, 768, 0),
+            (64, 128),
+        ),
+        (
+            AlgorithmKind::AsyncFlood,
+            edge_lag,
+            c9.clone(),
+            Strategy::Equivocate,
+            3,
+            0b1_0110_0101,
+            totals(41, 11_676, 46_704, 0),
+            (973, 2919),
+        ),
+        (
+            AlgorithmKind::AsyncFlood,
+            psync,
+            c9,
+            Strategy::Equivocate,
+            3,
+            0b1_0110_0101,
+            totals(43, 11_676, 46_704, 3892),
+            (973, 2919),
+        ),
+    ];
+    for (kind, regime, graph, strategy, faulty, bits, plain, (tampered, equivocated)) in cells {
+        let cell = format!("{} under {regime}", kind.name());
+        let (unobserved, observed, chained) =
+            accounting(kind, &regime, &graph, &strategy, faulty, bits);
+        assert_eq!(unobserved, plain, "{cell}");
+        assert_eq!(observed, interfered(plain, tampered, equivocated), "{cell}");
+        assert_eq!(chained, plain.transmissions, "{cell}");
+    }
 }
