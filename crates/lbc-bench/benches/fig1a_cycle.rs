@@ -1,9 +1,9 @@
 //! E1 — Figure 1(a): consensus on the 5-cycle with one Byzantine node.
 //!
 //! Regenerates the E1 table, benchmarks Algorithm 1 and Algorithm 2 on the
-//! 5-cycle against a tampering fault, and measures all three flood engines
-//! at n = 13 — the `naive` / `interned` (per-node) / `ledger` triple is what
-//! the bench-baseline aggregator derives its speedup records from.
+//! 5-cycle against a tampering fault, and measures both flood engines at
+//! n = 13 — the `naive` / `ledger` pair is what the bench gate derives its
+//! speedup ratio from.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -46,13 +46,10 @@ fn bench(c: &mut Criterion) {
         });
     });
 
-    // The flood engine alone — ledger (production) vs per-node interned
-    // control vs naive reference — all 13 nodes flooding.
+    // The flood engine alone — ledger (production) vs naive reference —
+    // all 13 nodes flooding.
     group.bench_function("flood_c13_ledger", |b| {
         b.iter(|| black_box(floodsim::flood_ledger(&c13, 13)));
-    });
-    group.bench_function("flood_c13_interned", |b| {
-        b.iter(|| black_box(floodsim::flood_interned(&c13, 13)));
     });
     group.bench_function("flood_c13_naive", |b| {
         b.iter(|| black_box(floodsim::flood_naive(&c13, 13)));

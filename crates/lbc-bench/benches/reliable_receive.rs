@@ -3,9 +3,9 @@
 //!
 //! Regenerates the E8 table, benchmarks the report-flood-heavy Algorithm 2
 //! run on K5 with two tampering faults (the phase-2 report flood dominates;
-//! it runs on the shared flood fabric), and measures all three flood
-//! engines on the 13-node wheel — a hub-rich topology whose path population
-//! stresses the interning arena at n ≥ 12.
+//! it runs on the shared flood fabric), and measures both flood engines on
+//! the 13-node wheel — a hub-rich topology whose path population stresses
+//! the interning arena at n ≥ 12.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -55,13 +55,10 @@ fn bench(c: &mut Criterion) {
     });
 
     // Reliable receive rides on the phase-1 flood; measure that flood alone
-    // on the 13-node wheel (hub + 12-cycle rim) through all three engines.
+    // on the 13-node wheel (hub + 12-cycle rim) through both engines.
     let w13 = generators::wheel(13);
     group.bench_function("flood_wheel13_ledger", |b| {
         b.iter(|| black_box(floodsim::flood_ledger(&w13, 13)));
-    });
-    group.bench_function("flood_wheel13_interned", |b| {
-        b.iter(|| black_box(floodsim::flood_interned(&w13, 13)));
     });
     group.bench_function("flood_wheel13_naive", |b| {
         b.iter(|| black_box(floodsim::flood_naive(&w13, 13)));

@@ -1,14 +1,12 @@
 //! Collects the per-benchmark JSON records written by the criterion shim
 //! (under `target/lbc-bench/`, or `$LBC_BENCH_OUT`) into a single baseline
 //! file (first CLI argument; default `BENCH_baseline.json`) at the
-//! workspace root, computing the interned-vs-naive speedup for every
-//! `*_interned` / `*_naive` pair and a naive / per-node / ledger speedup
-//! triple for every workload that also has a `*_ledger` variant.
+//! workspace root. `bench_gate` derives the naive-over-ledger flood-engine
+//! ratios from the medians recorded here.
 //!
 //! Run via `scripts/bench_baseline.sh [out.json]`, which executes the
 //! benches first.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -37,16 +35,6 @@ fn read_records(dir: &PathBuf) -> Vec<Json> {
     records
 }
 
-fn full_name(record: &Json) -> Option<String> {
-    let group = record.get("group")?.as_str()?;
-    let bench = record.get("bench")?.as_str()?;
-    Some(if group.is_empty() {
-        bench.to_string()
-    } else {
-        format!("{group}/{bench}")
-    })
-}
-
 fn main() -> ExitCode {
     let out_dir = std::env::var_os("LBC_BENCH_OUT")
         .map(PathBuf::from)
@@ -61,68 +49,18 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // Median ns per full benchmark name, for the speedup pairing.
-    let medians: BTreeMap<String, f64> = records
-        .iter()
-        .filter_map(|r| Some((full_name(r)?, r.get("median_ns")?.as_f64()?)))
-        .collect();
-
-    let round2 = |x: f64| (x * 100.0).round() / 100.0;
-    let mut speedups = Vec::new();
-    let mut triples = Vec::new();
-    for (name, naive_median) in &medians {
-        let Some(base) = name.strip_suffix("_naive") else {
-            continue;
-        };
-        let interned_median = medians.get(&format!("{base}_interned"));
-        let ledger_median = medians.get(&format!("{base}_ledger"));
-        if let Some(interned_median) = interned_median {
-            if *interned_median > 0.0 {
-                speedups.push(Json::object([
-                    ("workload", Json::Str(base.to_string())),
-                    ("naive_median_ns", Json::Num(*naive_median)),
-                    ("interned_median_ns", Json::Num(*interned_median)),
-                    ("speedup", Json::Num(round2(naive_median / interned_median))),
-                ]));
-            }
-        }
-        // The three-engine ladder: naive reference, per-node interned
-        // control, shared-fabric ledger production engine.
-        if let (Some(per_node), Some(ledger)) = (interned_median, ledger_median) {
-            if *per_node > 0.0 && *ledger > 0.0 {
-                triples.push(Json::object([
-                    ("workload", Json::Str(base.to_string())),
-                    ("naive_median_ns", Json::Num(*naive_median)),
-                    ("per_node_median_ns", Json::Num(*per_node)),
-                    ("ledger_median_ns", Json::Num(*ledger)),
-                    (
-                        "ledger_speedup_vs_naive",
-                        Json::Num(round2(naive_median / ledger)),
-                    ),
-                    (
-                        "ledger_speedup_vs_per_node",
-                        Json::Num(round2(per_node / ledger)),
-                    ),
-                ]));
-            }
-        }
-    }
-
+    let count = records.len();
     let baseline = Json::object([
         (
             "description",
             Json::Str(
                 "Criterion-shim medians (ns/iter) for the lbc benches; \
-                 'speedups' pairs the path-interning flood engine against \
-                 the naive Path-cloning control, and 'speedup_triples' adds \
-                 the shared-fabric ledger engine (naive / per-node / ledger) \
-                 on the same workload"
+                 bench_gate pairs each *_naive flood bench with its *_ledger \
+                 sibling on the same workload"
                     .to_string(),
             ),
         ),
         ("benches", Json::Arr(records)),
-        ("speedups", Json::Arr(speedups)),
-        ("speedup_triples", Json::Arr(triples)),
     ]);
 
     let out_path = std::env::args()
@@ -132,6 +70,6 @@ fn main() -> ExitCode {
         eprintln!("failed to write {}: {err}", out_path.display());
         return ExitCode::FAILURE;
     }
-    println!("wrote {} ({} records)", out_path.display(), medians.len());
+    println!("wrote {} ({count} records)", out_path.display());
     ExitCode::SUCCESS
 }

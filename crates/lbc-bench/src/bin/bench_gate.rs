@@ -1,58 +1,65 @@
 //! Compares a freshly measured bench baseline against the committed one and
-//! fails on speedup regressions.
+//! fails on flood-engine speedup regressions.
 //!
 //! ```text
 //! bench_gate <committed.json> <fresh.json> [tolerance-percent]
 //! ```
 //!
-//! Only the `speedup_triples` section is gated: absolute nanosecond medians
-//! vary wildly across runner hardware, but the naive / per-node / ledger
-//! *ratios* on the same machine are stable — a ledger speedup that drops
-//! more than the tolerance (default 25%) below the committed value means an
-//! engine regression, not a slow runner. A workload that disappears from
-//! the fresh measurement also fails (a silently renamed bench would
-//! otherwise retire its own gate); new workloads are reported but pass.
+//! The gated ratio is `ledger_speedup_vs_naive`: the median of every
+//! `<group>/<w>_naive` bench over the median of its `<group>/<w>_ledger`
+//! sibling, read from the `benches` records of each file and rounded to two
+//! decimals. Absolute nanosecond medians vary wildly across runner hardware,
+//! but the naive / ledger *ratio* on the same machine is stable — a ledger
+//! speedup that drops more than the tolerance (default 25%) below the
+//! committed value means an engine regression, not a slow runner. A
+//! workload that disappears from the fresh measurement also fails (a
+//! silently renamed bench would otherwise retire its own gate); new
+//! workloads are reported but pass.
 //!
 //! Run via `scripts/bench_gate.sh`, which measures the fresh baseline
 //! first.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::process::ExitCode;
 
 use lbc_model::json::Json;
 
-/// The gated ratio fields of one speedup triple.
-const GATED_RATIOS: [&str; 2] = ["ledger_speedup_vs_naive", "ledger_speedup_vs_per_node"];
+/// The gated ratio: naive reference median over ledger engine median.
+const GATED_RATIO: &str = "ledger_speedup_vs_naive";
 
 fn load(path: &str) -> Result<Json, String> {
     let text = fs::read_to_string(path).map_err(|err| format!("cannot read {path}: {err}"))?;
     Json::parse(&text).map_err(|err| format!("{path}: {err}"))
 }
 
-fn triples(doc: &Json, path: &str) -> Result<Vec<(String, f64, f64)>, String> {
+/// The naive-over-ledger ratio of every `<group>/<w>_naive` bench with a
+/// `<group>/<w>_ledger` sibling, keyed by workload `<group>/<w>`.
+fn speedups(doc: &Json, path: &str) -> Result<BTreeMap<String, f64>, String> {
     let entries = doc
-        .get("speedup_triples")
+        .get("benches")
         .and_then(Json::as_array)
-        .ok_or_else(|| format!("{path}: missing 'speedup_triples' (not a bench baseline?)"))?;
-    let mut out = Vec::with_capacity(entries.len());
-    for entry in entries {
-        let workload = entry
-            .get("workload")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{path}: triple missing 'workload'"))?;
-        let ratio = |field: &str| {
-            entry
-                .get(field)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("{path}: {workload} missing '{field}'"))
-        };
-        out.push((
-            workload.to_string(),
-            ratio(GATED_RATIOS[0])?,
-            ratio(GATED_RATIOS[1])?,
-        ));
-    }
-    Ok(out)
+        .ok_or_else(|| format!("{path}: missing 'benches' (not a bench baseline?)"))?;
+    let medians: BTreeMap<String, f64> = entries
+        .iter()
+        .filter_map(|entry| {
+            let group = entry.get("group")?.as_str()?;
+            let bench = entry.get("bench")?.as_str()?;
+            Some((
+                format!("{group}/{bench}"),
+                entry.get("median_ns")?.as_f64()?,
+            ))
+        })
+        .collect();
+    let round2 = |x: f64| (x * 100.0).round() / 100.0;
+    Ok(medians
+        .iter()
+        .filter_map(|(name, naive)| {
+            let workload = name.strip_suffix("_naive")?;
+            let ledger = medians.get(&format!("{workload}_ledger"))?;
+            (*ledger > 0.0).then(|| (workload.to_string(), round2(naive / ledger)))
+        })
+        .collect())
 }
 
 fn run() -> Result<bool, String> {
@@ -68,42 +75,37 @@ fn run() -> Result<bool, String> {
     };
     let floor = 1.0 - tolerance_percent / 100.0;
 
-    let committed = triples(&load(&committed_path)?, &committed_path)?;
-    let fresh = triples(&load(&fresh_path)?, &fresh_path)?;
+    let committed = speedups(&load(&committed_path)?, &committed_path)?;
+    let fresh = speedups(&load(&fresh_path)?, &fresh_path)?;
     if committed.is_empty() {
-        return Err(format!("{committed_path}: no speedup triples to gate"));
+        return Err(format!(
+            "{committed_path}: no naive/ledger bench pairs to gate"
+        ));
     }
 
     let mut ok = true;
-    for (workload, base_naive, base_per_node) in &committed {
-        let Some((_, fresh_naive, fresh_per_node)) =
-            fresh.iter().find(|(name, _, _)| name == workload)
-        else {
+    for (workload, base) in &committed {
+        let Some(measured) = fresh.get(workload) else {
             eprintln!("GATE FAIL: workload '{workload}' missing from {fresh_path}");
             ok = false;
             continue;
         };
-        for (field, base, measured) in [
-            (GATED_RATIOS[0], base_naive, fresh_naive),
-            (GATED_RATIOS[1], base_per_node, fresh_per_node),
-        ] {
-            let minimum = base * floor;
-            if *measured < minimum {
-                eprintln!(
-                    "GATE FAIL: {workload} {field} regressed: {measured:.2} < \
-                     {minimum:.2} (committed {base:.2} - {tolerance_percent}%)"
-                );
-                ok = false;
-            } else {
-                println!(
-                    "gate ok: {workload} {field} = {measured:.2} \
-                     (committed {base:.2}, floor {minimum:.2})"
-                );
-            }
+        let minimum = base * floor;
+        if *measured < minimum {
+            eprintln!(
+                "GATE FAIL: {workload} {GATED_RATIO} regressed: {measured:.2} < \
+                 {minimum:.2} (committed {base:.2} - {tolerance_percent}%)"
+            );
+            ok = false;
+        } else {
+            println!(
+                "gate ok: {workload} {GATED_RATIO} = {measured:.2} \
+                 (committed {base:.2}, floor {minimum:.2})"
+            );
         }
     }
-    for (workload, _, _) in &fresh {
-        if !committed.iter().any(|(name, _, _)| name == workload) {
+    for workload in fresh.keys() {
+        if !committed.contains_key(workload) {
             println!("gate note: new workload '{workload}' (no committed baseline yet)");
         }
     }

@@ -43,6 +43,7 @@ use lbc_telemetry::MetricsCollector;
 
 use crate::chaos::ChaosPolicy;
 use crate::checkpoint::{self, Checkpoint, CheckpointConfig};
+use crate::pool;
 use crate::report::{CampaignReport, CellStatus, ScenarioRecord};
 use crate::spec::{CampaignSpec, Scenario, SpecError};
 use crate::telemetry::{CampaignTelemetry, CellTelemetry};
@@ -678,67 +679,50 @@ fn execute_scenarios_opts(
             chaos.kill_after,
         )
     });
-    let slots: Vec<Mutex<Option<CellResult>>> = prefill
-        .into_iter()
-        .map(|record| Mutex::new(record.map(|r| (r, None))))
-        .collect();
-    if !pending.is_empty() {
+    let fresh = if pending.is_empty() {
+        Vec::new()
+    } else {
         install_cell_panic_hook();
-        let next = AtomicUsize::new(0);
         let watchdog =
             budget_micros.map(|micros| Watchdog::new(workers, Duration::from_micros(micros)));
-        let worker_loop = |worker: usize| loop {
-            let claim = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&index) = pending.get(claim) else {
-                break;
-            };
-            let result = run_cell(
-                &scenarios[index],
-                options.telemetry,
-                budget_micros,
-                watchdog.as_ref().map(|w| (w, worker)),
-                &chaos,
-            );
-            if let Some(journal) = &journal {
-                journal.record(&result.0);
-            }
-            *slots[index].lock().expect("no panics while holding slot") = Some(result);
-            if let Some(progress) = &progress {
-                progress.tick();
-            }
+        let run_pending = || {
+            pool::run_ordered(workers, pending.len(), |worker, claim| {
+                let result = run_cell(
+                    &scenarios[pending[claim]],
+                    options.telemetry,
+                    budget_micros,
+                    watchdog.as_ref().map(|w| (w, worker)),
+                    &chaos,
+                );
+                if let Some(journal) = &journal {
+                    journal.record(&result.0);
+                }
+                if let Some(progress) = &progress {
+                    progress.tick();
+                }
+                result
+            })
         };
-        if workers == 1 && watchdog.is_none() {
-            // The serial baseline: everything on the calling thread.
-            worker_loop(0);
-        } else {
-            std::thread::scope(|scope| {
-                let monitor = watchdog
-                    .as_ref()
-                    .map(|watchdog| scope.spawn(|| watchdog.monitor()));
-                if workers == 1 {
-                    worker_loop(0);
-                } else {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|worker| scope.spawn(move || worker_loop(worker)))
-                        .collect();
-                    for handle in handles {
-                        let _ = handle.join();
-                    }
-                }
-                if let Some(watchdog) = &watchdog {
-                    watchdog.stop();
-                }
-                drop(monitor);
-            });
+        match &watchdog {
+            None => run_pending(),
+            Some(watchdog) => std::thread::scope(|scope| {
+                scope.spawn(|| watchdog.monitor());
+                let results = run_pending();
+                watchdog.stop();
+                results
+            }),
         }
-    }
-    let mut records = Vec::with_capacity(slots.len());
+    };
+    let mut fresh = fresh.into_iter();
+    let mut records = Vec::with_capacity(prefill.len());
     let mut cells = options.telemetry.then(Vec::new);
-    for slot in slots {
-        let (record, cell) = slot
-            .into_inner()
-            .expect("worker panicked")
-            .expect("every slot is filled once the pool drains");
+    for slot in prefill {
+        let (record, cell) = match slot {
+            Some(record) => (record, None),
+            None => fresh
+                .next()
+                .expect("the pool returns one result per pending cell"),
+        };
         records.push(record);
         if let (Some(cells), Some(cell)) = (&mut cells, cell) {
             cells.push(cell);

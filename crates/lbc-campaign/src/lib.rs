@@ -91,6 +91,7 @@ pub mod checkpoint;
 pub mod diff;
 pub mod executor;
 pub mod explain;
+mod pool;
 pub mod report;
 pub mod search;
 pub mod serve;

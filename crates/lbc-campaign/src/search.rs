@@ -39,8 +39,6 @@
 //!   that `lbc campaign` re-executes verbatim.
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use lbc_adversary::{schedule, Strategy};
 use lbc_consensus::{conditions, runner, AlgorithmKind};
@@ -54,6 +52,7 @@ use lbc_sim::TraceSummary;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+use crate::pool;
 use crate::spec::{
     mix_seed, CampaignSpec, FRange, FaultPolicy, GraphFamily, InputPolicy, RegimeSpec, SizeSpec,
     SpecError, StrategySpec, SweepSpec,
@@ -1394,37 +1393,10 @@ pub fn run_search_resumed(
         })
         .collect();
 
-    let workers = workers.max(1).min(plans.len().max(1));
-    let outcomes: Vec<CellOutcome> = if workers == 1 {
-        plans
-            .iter()
-            .map(|(plan, state)| search_cell(plan, &search, state.clone()))
-            .collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<CellOutcome>>> =
-            plans.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some((plan, state)) = plans.get(index) else {
-                        break;
-                    };
-                    let outcome = search_cell(plan, &search, state.clone());
-                    *slots[index].lock().expect("no panics while holding slot") = Some(outcome);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("worker panicked")
-                    .expect("every slot is filled once the pool drains")
-            })
-            .collect()
-    };
+    let outcomes = pool::run_ordered(workers, plans.len(), |_, index| {
+        let (plan, state) = &plans[index];
+        search_cell(plan, &search, state.clone())
+    });
 
     Ok(SearchReport {
         name: spec.name.clone(),

@@ -18,8 +18,6 @@
 //! decisions/sec travel in the CSV and the stdout summary only.
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use lbc_adversary::Strategy;
@@ -29,6 +27,7 @@ use lbc_model::json::{FromJson, Json, JsonError, ToJson};
 use lbc_model::{InputAssignment, NodeId, NodeSet, Regime, Value, Verdict};
 use lbc_sim::ChainStats;
 
+use crate::pool;
 use crate::spec::{
     mix_seed, CampaignSpec, GraphFamily, InputPolicy, RegimeSpec, SpecError, StrategySpec,
     SALT_SERVE,
@@ -626,36 +625,10 @@ pub fn run_serve_opts(
         .ok_or_else(|| SpecError::new("spec has no 'serve' block"))?;
     let instances = instances_override.unwrap_or(serve.instances);
     let jobs = expand_lanes(spec, serve, instances)?;
-    let workers = workers.max(1).min(jobs.len());
     let started = Instant::now();
-    let slots: Vec<Mutex<Option<LaneReport>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let worker_loop = || loop {
-        let claim = next.fetch_add(1, Ordering::Relaxed);
-        let Some(job) = jobs.get(claim) else {
-            break;
-        };
-        let report = run_lane(job, instances);
-        *slots[claim].lock().expect("no panics while holding slot") = Some(report);
-    };
-    if workers == 1 {
-        worker_loop();
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker_loop)).collect();
-            for handle in handles {
-                let _ = handle.join();
-            }
-        });
-    }
-    let lanes = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("worker panicked")
-                .expect("every lane slot is filled once the pool drains")
-        })
-        .collect();
+    let lanes = pool::run_ordered(workers, jobs.len(), |_, index| {
+        run_lane(&jobs[index], instances)
+    });
     Ok(ServeReport {
         name: spec.name.clone(),
         seed: spec.seed,

@@ -64,8 +64,9 @@ pub(crate) enum Role {
 /// adversary can leave two type B nodes with different reliably-received
 /// input sets and no identified faults, and their majority decisions can then
 /// disagree — see the `algorithm2_omission_gap_reproduction_finding`
-/// integration test and `EXPERIMENTS.md` for the concrete 5-cycle
-/// counterexample. Algorithm 1 ([`crate::Algorithm1Node`]) is unaffected and
+/// integration test for the concrete 5-cycle counterexample, and the
+/// README's "Adversary search" section for the search rediscovering the gap
+/// on the 13-cycle. Algorithm 1 ([`crate::Algorithm1Node`]) is unaffected and
 /// handles arbitrary Byzantine behaviour; use it when omission faults are in
 /// scope or the graph is not comfortably above the `2f`-connectivity bound.
 ///

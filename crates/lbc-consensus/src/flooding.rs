@@ -19,26 +19,25 @@
 //!
 //! # Engines
 //!
-//! Three implementations form a verification ladder:
+//! Two implementations of the rules, one checked against the other:
 //!
 //! * [`LedgerFlooder`] — the production engine, built on the shared flood
-//!   fabric. Rule-(ii) state is a [`DenseBits`] bitset over interned relay
-//!   ids, and first values live **once per execution** in the
+//!   fabric. Paths travel as interned [`PathId`]s against the execution's
+//!   [`SharedPathArena`]. Rule-(ii) state is a [`DenseBits`] bitset over
+//!   interned relay ids, and first values live **once per execution** in the
 //!   [`lbc_model::FloodLedger`] (under local broadcast every neighbor
 //!   receives the same first message per `(sender, Π)` key, so per-node
 //!   value maps are redundant; a per-node override map keeps the engine
-//!   exactly per-node-faithful under equivocation-capable models too).
-//! * [`Flooder`] — the per-node control engine. Paths travel as interned
-//!   [`PathId`]s against the execution's [`SharedPathArena`]; rule-(ii) and
-//!   rule-(iv) state is keyed by `(NodeId, PathId)` in `FxHashMap`s, and a
-//!   per-origin index makes [`Flooder::received_from`] /
-//!   [`Flooder::paths_with_value`] indexed lookups instead of full-map scans.
+//!   exactly per-node-faithful under equivocation-capable models too). A
+//!   per-origin index makes [`LedgerFlooder::received_from`] /
+//!   [`LedgerFlooder::paths_with_value`] indexed lookups instead of
+//!   full-map scans.
 //! * [`NaiveFlooder`] — the pre-interning reference engine (`BTreeMap` keyed
-//!   by cloned [`Path`]s), kept as the bottom rung for equivalence tests and
+//!   by cloned [`Path`]s), kept as the oracle for the equivalence tests and
 //!   the `naive` benchmark variants.
 //!
-//! All three must behave byte-identically; the `flood_equivalence`
-//! integration test enforces the full three-way ladder.
+//! Both must behave byte-identically; the `flood_equivalence` integration
+//! test compares them on whole-graph flood scripts.
 
 use std::collections::BTreeMap;
 
@@ -107,364 +106,18 @@ pub(crate) fn validate_path(
     all_valid
 }
 
-/// Per-phase flooding state of a single node (path-interning engine).
+/// The production flood engine: per-phase flooding state of a single node,
+/// built on the shared flood fabric.
 ///
-/// The caller drives the flooder from its protocol hooks: [`Flooder::start`]
-/// produces the initiation broadcast, [`Flooder::on_round`] consumes the
-/// round's deliveries and produces the forwards, and the `received_*`
-/// accessors answer the "which value did I receive along path `P`?" queries
-/// of steps (b) and (c).
-#[derive(Debug, Clone)]
-pub struct Flooder {
-    me: NodeId,
-    own_value: Option<Value>,
-    /// Handle to the execution-wide path arena message ids resolve against.
-    arena: SharedPathArena,
-    /// Rule (ii) state: the first value received for each `(sender, path)`
-    /// key. `PathId` is a `u32`, so the key hashes as two machine words.
-    seen: lbc_model::fx::FxHashMap<(NodeId, PathId), Value>,
-    /// Per-origin index over the received paths: relay-path ids (the full
-    /// path minus the trailing `me`) in arrival order, densely indexed by
-    /// origin. This is what turns `received_from` / `paths_with_value` into
-    /// indexed lookups instead of scans over every received path. There is
-    /// no separate value map: a relay's value is `seen[(relay.last,
-    /// relay.parent)]`, recovered in O(1) through the trie (rule (ii)
-    /// guarantees that entry is written exactly once). The node's own value
-    /// sits under the empty relay path at index `me`.
-    by_origin: Vec<Vec<PathId>>,
-    /// Count of received full paths (rule (iv) accepts plus the own value).
-    received_total: usize,
-    /// Scratch buffer for [`validate_path`] (avoids per-message allocation).
-    validate_scratch: Vec<PathId>,
-    /// Whether the missing-initiation defaults have been injected yet.
-    defaults_injected: bool,
-}
-
-impl Flooder {
-    /// Creates the flooder and returns the initiation broadcast `(value, ⊥)`.
-    #[must_use]
-    pub fn start(
-        arena: SharedPathArena,
-        me: NodeId,
-        value: Value,
-    ) -> (Self, Vec<Outgoing<FloodMsg>>) {
-        let mut flooder = Flooder::observer(arena, me);
-        flooder.own_value = Some(value);
-        flooder.by_origin.resize(me.index() + 1, Vec::new());
-        flooder.by_origin[me.index()].push(PathId::EMPTY);
-        flooder.received_total = 1;
-        let out = vec![Outgoing::Broadcast(FloodMsg::initiation(value))];
-        (flooder, out)
-    }
-
-    /// Creates a flooder that relays other nodes' floods without initiating
-    /// one of its own — used for floods in which only a subset of nodes are
-    /// sources, e.g. the decision flood of Algorithm 2 or the king step of
-    /// the point-to-point baseline.
-    #[must_use]
-    pub fn observer(arena: SharedPathArena, me: NodeId) -> Self {
-        Flooder {
-            me,
-            own_value: None,
-            arena,
-            seen: lbc_model::fx::FxHashMap::default(),
-            by_origin: Vec::new(),
-            received_total: 0,
-            validate_scratch: Vec::new(),
-            defaults_injected: false,
-        }
-    }
-
-    /// The value this node initiated the flood with, if it initiated one.
-    #[must_use]
-    pub fn own_value(&self) -> Option<Value> {
-        self.own_value
-    }
-
-    /// Resets the flooder for a fresh flood of `value` and returns the new
-    /// initiation broadcast, *keeping every allocation* — the hash-map
-    /// capacity, the per-origin index vectors, and the validation scratch
-    /// buffer all survive, so a multi-phase algorithm (Algorithm 1 floods
-    /// once per candidate fault set) re-floods without rebuilding its state
-    /// tables from scratch. The shared arena is untouched: interned paths
-    /// and their graph-validity memo persist across phases by design.
-    ///
-    /// Observable behaviour is identical to dropping the flooder and calling
-    /// [`Flooder::start`] with the same arena.
-    pub fn restart(&mut self, value: Value) -> Vec<Outgoing<FloodMsg>> {
-        self.own_value = Some(value);
-        self.seen.clear();
-        for per_origin in &mut self.by_origin {
-            per_origin.clear();
-        }
-        if self.by_origin.len() <= self.me.index() {
-            self.by_origin.resize(self.me.index() + 1, Vec::new());
-        }
-        self.by_origin[self.me.index()].push(PathId::EMPTY);
-        self.received_total = 1;
-        self.defaults_injected = false;
-        vec![Outgoing::Broadcast(FloodMsg::initiation(value))]
-    }
-
-    /// Processes one round of deliveries and returns the forwards to
-    /// transmit. `first_round` must be true exactly for the round in which
-    /// initiations are due (relative round 0 of the phase); at the end of
-    /// that round, missing initiations from neighbors are replaced by the
-    /// default `(1, ⊥)`.
-    pub fn on_round(
-        &mut self,
-        graph: &Graph,
-        first_round: bool,
-        inbox: Inbox<'_, FloodMsg>,
-    ) -> Vec<Outgoing<FloodMsg>> {
-        let mut out = Vec::new();
-        for delivery in inbox.iter() {
-            out.extend(
-                self.process(graph, delivery.from, &delivery.message)
-                    .map(Outgoing::Broadcast),
-            );
-        }
-        if first_round && !self.defaults_injected {
-            self.defaults_injected = true;
-            for neighbor in graph.neighbors(self.me) {
-                if !self.seen.contains_key(&(neighbor, PathId::EMPTY)) {
-                    let default = FloodMsg::initiation(Value::DEFAULT_FLOOD);
-                    out.extend(
-                        self.process(graph, neighbor, &default)
-                            .map(Outgoing::Broadcast),
-                    );
-                }
-            }
-        }
-        out
-    }
-
-    /// Applies rules (i)–(iv) to a single message received from `from`,
-    /// returning the forward to broadcast, if any.
-    fn process(&mut self, graph: &Graph, from: NodeId, msg: &FloodMsg) -> Option<FloodMsg> {
-        // Rule (i): the relay path Π‑u must exist in G. Equivalent to: Π is a
-        // (simple) path of G, u is a valid node not on Π, and u is adjacent
-        // to Π's last node. Checked against the arena without resolving,
-        // with incremental memoization in `valid_paths`.
-        let mut arena = self.arena.borrow_mut();
-        if !graph.contains_node(from)
-            || !validate_path(&mut arena, &mut self.validate_scratch, graph, msg.path)
-            || arena.contains(msg.path, from)
-        {
-            return None;
-        }
-        if let Some(last) = arena.last(msg.path) {
-            if !graph.has_edge(last, from) {
-                return None;
-            }
-        }
-        // Rules (ii) and (iii) with a single hash of the (sender, path)
-        // key: every message that passes rule (i) is recorded, whether
-        // rule (iii) then discards it or not.
-        match self.seen.entry((from, msg.path)) {
-            std::collections::hash_map::Entry::Occupied(_) => return None,
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(msg.value);
-            }
-        }
-        // Rule (iii): discard if the relay path Π‑u already contains me.
-        if from == self.me || arena.contains(msg.path, self.me) {
-            return None;
-        }
-        // Rule (iv): record the value as received along Π‑u and forward. The
-        // state is keyed by the relay id itself (the full path is `relay`
-        // plus `me`, re-appended on resolution); the value needs no second
-        // map — it is the `seen` entry written above, reachable from the
-        // relay id through the trie.
-        let relay = arena.extended(msg.path, from);
-        // Π‑u passed the same checks, so it is a graph path too; memoize it —
-        // it is exactly what the neighbors will send back to us.
-        arena.set_path_validity(relay, true);
-        let origin = arena.first(relay).expect("relay path contains the sender");
-        if self.by_origin.len() <= origin.index() {
-            self.by_origin.resize(origin.index() + 1, Vec::new());
-        }
-        self.by_origin[origin.index()].push(relay);
-        self.received_total += 1;
-        Some(FloodMsg {
-            value: msg.value,
-            path: relay,
-        })
-    }
-
-    /// The value received along the full path `origin … me`, if any. The
-    /// node's own value is available along the single-node path `[me]`.
-    #[must_use]
-    pub fn value_along(&self, full_path: &Path) -> Option<Value> {
-        let nodes = full_path.nodes();
-        let (&last, relay_nodes) = nodes.split_last()?;
-        if last != self.me {
-            return None;
-        }
-        let relay = self.arena.borrow().find_slice(relay_nodes)?;
-        self.value_along_relay(relay)
-    }
-
-    /// The value received along the full path `relay‑me`, given the interned
-    /// relay id (the path annotation the last transmitter forwarded with,
-    /// i.e. the full path minus this node). The node's own value is under
-    /// the empty relay path.
-    ///
-    /// Only paths actually *received* under rule (iv) answer: a `(sender,
-    /// path)` key that was overheard but discarded by rule (iii) is not a
-    /// received path and yields `None`.
-    #[must_use]
-    pub fn value_along_relay(&self, relay: PathId) -> Option<Value> {
-        let arena = self.arena.borrow();
-        let Some((prefix, last)) = arena.step(relay) else {
-            return self.own_value; // the empty relay path: the own value
-        };
-        // Rule-(iii) guard: the relay was accepted only if neither its
-        // sender nor its prefix involves me.
-        if last == self.me || arena.contains(prefix, self.me) {
-            return None;
-        }
-        self.seen.get(&(last, prefix)).copied()
-    }
-
-    /// The interned relay-path ids received from `origin`, in arrival order
-    /// (the full paths are these plus a trailing `me`). This is the
-    /// allocation-free, indexed counterpart of [`Flooder::received_from`].
-    #[must_use]
-    pub fn relay_ids_from(&self, origin: NodeId) -> &[PathId] {
-        self.by_origin
-            .get(origin.index())
-            .map_or(&[], Vec::as_slice)
-    }
-
-    /// The value of an *indexed* relay id, given a pre-acquired arena borrow
-    /// (indexed relays were accepted under rule (iv), so the rule-(iii)
-    /// guard of [`Flooder::value_along_relay`] is unnecessary).
-    fn relay_value(&self, arena: &lbc_model::PathArena, relay: PathId) -> Option<Value> {
-        match arena.step(relay) {
-            None => self.own_value,
-            Some((prefix, last)) => self.seen.get(&(last, prefix)).copied(),
-        }
-    }
-
-    /// Resolves a stored relay id into the full received path `relay‑me`.
-    fn resolve_full(&self, arena: &lbc_model::PathArena, relay: PathId) -> Path {
-        let mut nodes = arena.nodes(relay);
-        nodes.push(self.me);
-        Path::from_nodes(nodes)
-    }
-
-    /// All `(full path, value)` pairs received from `origin` (paths start at
-    /// `origin` and end at this node), in lexicographic path order — the
-    /// same order the pre-interning engine produced.
-    #[must_use]
-    pub fn received_from(&self, origin: NodeId) -> Vec<(Path, Value)> {
-        let arena = self.arena.borrow();
-        let mut entries: Vec<(Path, Value)> = self
-            .relay_ids_from(origin)
-            .iter()
-            .map(|id| {
-                let value = self
-                    .relay_value(&arena, *id)
-                    .expect("indexed relay has a value");
-                (self.resolve_full(&arena, *id), value)
-            })
-            .collect();
-        entries.sort();
-        entries
-    }
-
-    /// The full paths from `origin` along which this node received `value`,
-    /// in lexicographic path order.
-    #[must_use]
-    pub fn paths_with_value(&self, origin: NodeId, value: Value) -> Vec<Path> {
-        let arena = self.arena.borrow();
-        let mut paths: Vec<Path> = self
-            .relay_ids_from(origin)
-            .iter()
-            .filter(|id| self.relay_value(&arena, **id) == Some(value))
-            .map(|id| self.resolve_full(&arena, *id))
-            .collect();
-        paths.sort();
-        paths
-    }
-
-    /// The full paths from `origin` delivering `value` that *exclude* the set
-    /// `exclude` (no internal node in `exclude`). The exclusion test runs on
-    /// the interned relay ids (memoized member bitsets) before any path is
-    /// resolved.
-    #[must_use]
-    pub fn paths_with_value_excluding(
-        &self,
-        origin: NodeId,
-        value: Value,
-        exclude: &NodeSet,
-    ) -> Vec<Path> {
-        let arena = self.arena.borrow();
-        let mut paths: Vec<Path> = self
-            .relay_ids_from(origin)
-            .iter()
-            .filter(|id| {
-                self.relay_value(&arena, **id) == Some(value) && arena.tail_excludes(**id, exclude)
-            })
-            .map(|id| self.resolve_full(&arena, *id))
-            .collect();
-        paths.sort();
-        paths
-    }
-
-    /// Every `(sender, path, value)` accepted under rule (ii) from direct
-    /// neighbors — i.e. everything this node *overheard*, which is exactly
-    /// what Algorithm 2's phase 2 reports on. Sorted by `(sender, path)` as
-    /// the pre-interning engine's `BTreeMap` iteration was.
-    #[must_use]
-    pub fn overheard(&self) -> Vec<(NodeId, Path, Value)> {
-        let arena = self.arena.borrow();
-        let mut entries: Vec<(NodeId, Path, Value)> = self
-            .seen
-            .iter()
-            .map(|((from, path), value)| (*from, arena.resolve(*path), *value))
-            .collect();
-        entries.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-        entries
-    }
-
-    /// The overheard `(sender, path id, value)` triples, sorted by
-    /// `(sender, path)` — the id-carrying counterpart of
-    /// [`Flooder::overheard`], used to build Algorithm 2's phase-2 reports
-    /// without cloning paths.
-    #[must_use]
-    pub fn overheard_ids(&self) -> Vec<(NodeId, PathId, Value)> {
-        let arena = self.arena.borrow();
-        let mut entries: Vec<(NodeId, PathId, Value)> = self
-            .seen
-            .iter()
-            .map(|((from, path), value)| (*from, *path, *value))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| arena.cmp_nodes(a.1, b.1)));
-        entries
-    }
-
-    /// Whether this node overheard `observed` transmit exactly `(value, Π)`,
-    /// with `Π` given as an interned id — the indexed counterpart of scanning
-    /// [`Flooder::overheard`].
-    #[must_use]
-    pub fn overheard_exactly(&self, observed: NodeId, path: PathId, value: Value) -> bool {
-        self.seen.get(&(observed, path)) == Some(&value)
-    }
-
-    /// Number of distinct full paths along which values were received.
-    #[must_use]
-    pub fn received_count(&self) -> usize {
-        self.received_total
-    }
-}
-
-/// The production flood engine, built on the shared flood fabric.
+/// The caller drives the flooder from its protocol hooks:
+/// [`LedgerFlooder::start`] produces the initiation broadcast,
+/// [`LedgerFlooder::on_round`] consumes the round's deliveries and produces
+/// the forwards, and the `received_*` accessors answer the "which value did
+/// I receive along path `P`?" queries of steps (b) and (c).
 ///
 /// The paper's rule (ii) observes that under local broadcast every neighbor
-/// of `u` receives the *same* first message per `(u, Π)` key. The per-node
-/// [`Flooder`] uses that only for correctness; this engine uses it for
+/// of `u` receives the *same* first message per `(u, Π)` key. That is what
+/// makes the rule suppress equivocation; this engine also uses it for
 /// speed: each distinct broadcast is recorded **once per execution** in the
 /// shared [`lbc_model::FloodLedger`] (keyed by the interned relay id
 /// `Π‑u`), and per-node rule-(ii) state collapses to a [`DenseBits`] bitset
@@ -477,8 +130,9 @@ impl Flooder {
 /// equivocation-capable channels — hybrid-model equivocators, the
 /// point-to-point baseline, or the doubled networks of the impossibility
 /// constructions), the node keeps a per-node override, so the engine is
-/// observably identical to [`Flooder`] under *every* communication model.
-/// The `flood_equivalence` tests enforce the three-way ladder.
+/// observably identical to per-node flood state (the [`NaiveFlooder`]
+/// reference) under *every* communication model. The `flood_equivalence`
+/// tests compare the two engines.
 #[derive(Debug, Clone)]
 pub struct LedgerFlooder {
     me: NodeId,
@@ -500,8 +154,12 @@ pub struct LedgerFlooder {
     /// empty under local broadcast; populated only when the communication
     /// model lets a sender deliver different copies to different receivers.
     overrides: lbc_model::fx::FxHashMap<PathId, Value>,
-    /// Per-origin index over the received (rule-(iv)-accepted) relay ids, in
-    /// arrival order — same layout as [`Flooder::by_origin`].
+    /// Per-origin index over the received (rule-(iv)-accepted) relay ids —
+    /// the full path minus the trailing `me` — in arrival order, densely
+    /// indexed by origin. This is what turns `received_from` /
+    /// `paths_with_value` into indexed lookups instead of scans over every
+    /// received path. The node's own value sits under the empty relay path
+    /// at index `me`.
     by_origin: Vec<Vec<PathId>>,
     /// Count of received full paths (rule (iv) accepts plus the own value).
     received_total: usize,
@@ -587,10 +245,18 @@ impl LedgerFlooder {
     }
 
     /// Resets the flooder for a fresh flood of `value` on the next epoch of
-    /// its channel and returns the new initiation broadcast, keeping every
-    /// allocation (see [`Flooder::restart`]). Opening the next epoch retires
-    /// the channel two epochs back, so a long multi-phase run recycles its
-    /// shared state instead of accumulating it.
+    /// its channel and returns the new initiation broadcast, *keeping every
+    /// allocation*: the rule-(ii) bitset, the per-origin index vectors and
+    /// the validation scratch buffer all survive, so a multi-phase algorithm
+    /// (Algorithm 1 floods once per candidate fault set) re-floods without
+    /// rebuilding its state tables. The shared arena is untouched: interned
+    /// paths and their graph-validity memo persist across phases by design.
+    /// Opening the next epoch retires the channel two epochs back, so a long
+    /// multi-phase run recycles its shared state instead of accumulating it.
+    ///
+    /// Observable behaviour is identical to dropping the flooder and calling
+    /// [`LedgerFlooder::start_on`] on the next epoch with the same arena and
+    /// ledger.
     pub fn restart(&mut self, value: Value) -> Vec<Outgoing<FloodMsg>> {
         self.epoch += 1;
         self.channel = self.ledger.open(self.tag, self.epoch);
@@ -610,7 +276,10 @@ impl LedgerFlooder {
     }
 
     /// Processes one round of deliveries and returns the forwards to
-    /// transmit; see [`Flooder::on_round`].
+    /// transmit. `first_round` must be true exactly for the round in which
+    /// initiations are due (relative round 0 of the phase); at the end of
+    /// that round, missing initiations from neighbors are replaced by the
+    /// default `(1, ⊥)`.
     pub fn on_round(
         &mut self,
         graph: &Graph,
@@ -647,8 +316,10 @@ impl LedgerFlooder {
     /// Applies rules (i)–(iv) to a single message received from `from`,
     /// returning the forward to broadcast, if any.
     fn process(&mut self, graph: &Graph, from: NodeId, msg: &FloodMsg) -> Option<FloodMsg> {
-        // Rule (i), identical to the per-node engine: validation reads the
-        // arena's shared memo, so the common case is a single array read.
+        // Rule (i): the relay path Π‑u must exist in G. Equivalent to: Π is a
+        // (simple) path of G, u is a valid node not on Π, and u is adjacent
+        // to Π's last node. Validation reads the arena's shared memo, so the
+        // common case is a single array read.
         let mut arena = self.arena.borrow_mut();
         if !graph.contains_node(from)
             || !validate_path(&mut arena, &mut self.validate_scratch, graph, msg.path)
@@ -663,7 +334,8 @@ impl LedgerFlooder {
         }
         // Rules (ii) and (iii): the relay id Π‑u *is* the (sender, path)
         // key, so rule (ii) is one bit test on the per-node bitset. Every
-        // rule-(i)-passing message is recorded, as in the control engines.
+        // message that passes rule (i) is recorded, whether rule (iii) then
+        // discards it or not.
         let relay = arena.extended(msg.path, from);
         if !self.seen.insert(relay.index()) {
             return None;
@@ -707,8 +379,8 @@ impl LedgerFlooder {
         })
     }
 
-    /// The value received along the full path `origin … me`, if any; see
-    /// [`Flooder::value_along`].
+    /// The value received along the full path `origin … me`, if any. The
+    /// node's own value is available along the single-node path `[me]`.
     #[must_use]
     pub fn value_along(&self, full_path: &Path) -> Option<Value> {
         let nodes = full_path.nodes();
@@ -720,8 +392,14 @@ impl LedgerFlooder {
         self.value_along_relay(relay)
     }
 
-    /// The value received along the full path `relay‑me`; see
-    /// [`Flooder::value_along_relay`].
+    /// The value received along the full path `relay‑me`, given the interned
+    /// relay id (the path annotation the last transmitter forwarded with,
+    /// i.e. the full path minus this node). The node's own value is under
+    /// the empty relay path.
+    ///
+    /// Only paths actually *received* under rule (iv) answer: a `(sender,
+    /// path)` key that was overheard but discarded by rule (iii) is not a
+    /// received path and yields `None`.
     #[must_use]
     pub fn value_along_relay(&self, relay: PathId) -> Option<Value> {
         {
@@ -741,8 +419,10 @@ impl LedgerFlooder {
         Some(self.seen_value(relay))
     }
 
-    /// The interned relay-path ids received from `origin`, in arrival order;
-    /// see [`Flooder::relay_ids_from`].
+    /// The interned relay-path ids received from `origin`, in arrival order
+    /// (the full paths are these plus a trailing `me`). This is the
+    /// allocation-free, indexed counterpart of
+    /// [`LedgerFlooder::received_from`].
     #[must_use]
     pub fn relay_ids_from(&self, origin: NodeId) -> &[PathId] {
         self.by_origin
@@ -765,8 +445,9 @@ impl LedgerFlooder {
         Path::from_nodes(nodes)
     }
 
-    /// All `(full path, value)` pairs received from `origin`, in
-    /// lexicographic path order; see [`Flooder::received_from`].
+    /// All `(full path, value)` pairs received from `origin` (paths start at
+    /// `origin` and end at this node), in lexicographic path order — the
+    /// same order the pre-interning engine produced.
     #[must_use]
     pub fn received_from(&self, origin: NodeId) -> Vec<(Path, Value)> {
         let arena = self.arena.borrow();
@@ -785,7 +466,7 @@ impl LedgerFlooder {
     }
 
     /// The full paths from `origin` along which this node received `value`,
-    /// in lexicographic path order; see [`Flooder::paths_with_value`].
+    /// in lexicographic path order.
     #[must_use]
     pub fn paths_with_value(&self, origin: NodeId, value: Value) -> Vec<Path> {
         let arena = self.arena.borrow();
@@ -800,7 +481,9 @@ impl LedgerFlooder {
     }
 
     /// The full paths from `origin` delivering `value` that *exclude* the
-    /// set `exclude`; see [`Flooder::paths_with_value_excluding`].
+    /// set `exclude` (no internal node in `exclude`). The exclusion test runs
+    /// on the interned relay ids (memoized member bitsets) before any path
+    /// is resolved.
     #[must_use]
     pub fn paths_with_value_excluding(
         &self,
@@ -821,8 +504,10 @@ impl LedgerFlooder {
         paths
     }
 
-    /// Every `(sender, path, value)` accepted under rule (ii), sorted by
-    /// `(sender, path)`; see [`Flooder::overheard`].
+    /// Every `(sender, path, value)` accepted under rule (ii) from direct
+    /// neighbors — i.e. everything this node *overheard*, which is exactly
+    /// what Algorithm 2's phase 2 reports on. Sorted by `(sender, path)` as
+    /// the pre-interning engine's `BTreeMap` iteration was.
     #[must_use]
     pub fn overheard(&self) -> Vec<(NodeId, Path, Value)> {
         let arena = self.arena.borrow();
@@ -833,7 +518,9 @@ impl LedgerFlooder {
     }
 
     /// The overheard `(sender, path id, value)` triples, sorted by
-    /// `(sender, path)`; see [`Flooder::overheard_ids`].
+    /// `(sender, path)` — the id-carrying counterpart of
+    /// [`LedgerFlooder::overheard`], used to build Algorithm 2's phase-2
+    /// reports without cloning paths.
     #[must_use]
     pub fn overheard_ids(&self) -> Vec<(NodeId, PathId, Value)> {
         let arena = self.arena.borrow();
@@ -854,8 +541,9 @@ impl LedgerFlooder {
         entries
     }
 
-    /// Whether this node overheard `observed` transmit exactly
-    /// `(value, Π)`; see [`Flooder::overheard_exactly`].
+    /// Whether this node overheard `observed` transmit exactly `(value, Π)`,
+    /// with `Π` given as an interned id — the indexed counterpart of
+    /// scanning [`LedgerFlooder::overheard`].
     #[must_use]
     pub fn overheard_exactly(&self, observed: NodeId, path: PathId, value: Value) -> bool {
         let relay = self.arena.borrow().find_child(path, observed);
@@ -903,8 +591,8 @@ impl ByzantineMessage for NaiveFloodMsg {
 /// The pre-interning flood engine, kept verbatim as the control: `BTreeMap`
 /// state keyed by cloned [`Path`]s, with full-map scans in the accessors.
 ///
-/// Benchmarks compare [`Flooder`] against this implementation, and the
-/// equivalence tests assert identical observable behaviour.
+/// Benchmarks compare [`LedgerFlooder`] against this implementation, and
+/// the equivalence tests assert identical observable behaviour.
 #[derive(Debug, Clone)]
 pub struct NaiveFlooder {
     me: NodeId,
@@ -937,7 +625,7 @@ impl NaiveFlooder {
         self.own_value
     }
 
-    /// Processes one round of deliveries; see [`Flooder::on_round`].
+    /// Processes one round of deliveries; see [`LedgerFlooder::on_round`].
     pub fn on_round(
         &mut self,
         graph: &Graph,
@@ -991,13 +679,13 @@ impl NaiveFlooder {
         })]
     }
 
-    /// See [`Flooder::value_along`].
+    /// See [`LedgerFlooder::value_along`].
     #[must_use]
     pub fn value_along(&self, full_path: &Path) -> Option<Value> {
         self.received.get(full_path).copied()
     }
 
-    /// See [`Flooder::received_from`] — here a full-map scan.
+    /// See [`LedgerFlooder::received_from`] — here a full-map scan.
     #[must_use]
     pub fn received_from(&self, origin: NodeId) -> Vec<(Path, Value)> {
         self.received
@@ -1007,7 +695,7 @@ impl NaiveFlooder {
             .collect()
     }
 
-    /// See [`Flooder::paths_with_value`] — here a full-map scan.
+    /// See [`LedgerFlooder::paths_with_value`] — here a full-map scan.
     #[must_use]
     pub fn paths_with_value(&self, origin: NodeId, value: Value) -> Vec<Path> {
         self.received
@@ -1017,7 +705,7 @@ impl NaiveFlooder {
             .collect()
     }
 
-    /// See [`Flooder::paths_with_value_excluding`].
+    /// See [`LedgerFlooder::paths_with_value_excluding`].
     #[must_use]
     pub fn paths_with_value_excluding(
         &self,
@@ -1031,7 +719,7 @@ impl NaiveFlooder {
             .collect()
     }
 
-    /// See [`Flooder::overheard`].
+    /// See [`LedgerFlooder::overheard`].
     #[must_use]
     pub fn overheard(&self) -> Vec<(NodeId, Path, Value)> {
         self.seen
@@ -1040,7 +728,7 @@ impl NaiveFlooder {
             .collect()
     }
 
-    /// See [`Flooder::received_count`].
+    /// See [`LedgerFlooder::received_count`].
     #[must_use]
     pub fn received_count(&self) -> usize {
         self.received.len()
@@ -1070,16 +758,18 @@ mod tests {
         }
     }
 
-    fn started(i: usize, value: Value) -> (SharedPathArena, Flooder) {
+    fn started(i: usize, value: Value) -> (SharedPathArena, LedgerFlooder) {
         let arena = SharedPathArena::new();
-        let (flooder, _) = Flooder::start(arena.clone(), n(i), value);
+        let (flooder, _) =
+            LedgerFlooder::start(arena.clone(), SharedFloodLedger::new(), n(i), value);
         (arena, flooder)
     }
 
     #[test]
     fn start_records_own_value_and_broadcasts_initiation() {
         let arena = SharedPathArena::new();
-        let (flooder, out) = Flooder::start(arena, n(0), Value::One);
+        let (flooder, out) =
+            LedgerFlooder::start(arena, SharedFloodLedger::new(), n(0), Value::One);
         assert_eq!(out.len(), 1);
         assert_eq!(
             flooder.value_along(&Path::singleton(n(0))),
@@ -1228,35 +918,6 @@ mod tests {
             .any(|(from, path, value)| *from == n(1) && path.is_empty() && *value == Value::One));
         assert!(flooder.overheard_exactly(n(1), PathId::EMPTY, Value::One));
         assert!(!flooder.overheard_exactly(n(1), PathId::EMPTY, Value::Zero));
-    }
-
-    #[test]
-    fn restart_behaves_like_a_fresh_start() {
-        let g = generators::cycle(5);
-        let (arena, mut reused) = started(2, Value::Zero);
-        let inbox = [
-            deliver(&arena, 1, Value::One, &[0]),
-            deliver(&arena, 3, Value::Zero, &[4]),
-        ];
-        let _ = reused.on_round(&g, true, Inbox::direct(&inbox));
-        assert!(reused.received_count() > 1);
-
-        // Restarting with a new value must reproduce a fresh flooder's
-        // behaviour exactly, against the same (persistent) arena.
-        let init = reused.restart(Value::One);
-        let (fresh, fresh_init) = Flooder::start(arena.clone(), n(2), Value::One);
-        assert_eq!(init, fresh_init);
-        assert_eq!(reused.received_count(), fresh.received_count());
-        assert_eq!(reused.own_value(), fresh.own_value());
-        assert_eq!(reused.overheard(), fresh.overheard());
-
-        let mut fresh = fresh;
-        let out_reused = reused.on_round(&g, true, Inbox::direct(&inbox));
-        let out_fresh = fresh.on_round(&g, true, Inbox::direct(&inbox));
-        assert_eq!(out_reused, out_fresh);
-        assert_eq!(reused.received_from(n(0)), fresh.received_from(n(0)));
-        assert_eq!(reused.received_from(n(4)), fresh.received_from(n(4)));
-        assert_eq!(reused.overheard(), fresh.overheard());
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //!   model), and the classical Dolev condition for point-to-point.
 //! * [`flooding`] — the path-annotated flooding sub-protocol with the
 //!   equivocation-suppressing forwarding rules (i)–(iv) of Algorithm 1,
-//!   implemented as a three-engine verification ladder: the production
-//!   [`flooding::LedgerFlooder`] on the shared flood fabric, the per-node
-//!   [`flooding::Flooder`] control, and the pre-interning
-//!   [`flooding::NaiveFlooder`] reference.
+//!   implemented twice: the production [`flooding::LedgerFlooder`] on the
+//!   shared flood fabric, and the pre-interning [`flooding::NaiveFlooder`]
+//!   reference it is checked against.
 //! * [`Algorithm1Node`] — the exponential-phase consensus algorithm of
 //!   Theorem 5.1 (one phase per candidate fault set `F`, `|F| ≤ f`).
 //! * [`Algorithm2Node`] — the efficient `O(n)`-round algorithm of Theorem 5.6

@@ -139,7 +139,8 @@ fn algorithm2_omission_gap_reproduction_finding() {
     assert!(
         !verdict.agreement,
         "the documented Appendix C omission gap no longer reproduces; \
-         update EXPERIMENTS.md if Algorithm 2 was strengthened: {outcome}"
+         update the Appendix C notes (Algorithm2Node docs, README) if \
+         Algorithm 2 was strengthened: {outcome}"
     );
     assert!(verdict.validity && verdict.termination);
 

@@ -1,22 +1,22 @@
-//! Byte-level equivalence of the three flood engines — the verification
-//! ladder of the flood fabric.
+//! Byte-level equivalence of the two flood engines: the production engine
+//! checked against the reference.
 //!
-//! All engines run the same whole-graph flood scripts — every node floods
+//! Both engines run the same whole-graph flood scripts — every node floods
 //! its input for `n` rounds under local-broadcast delivery — and the tests
 //! assert that per-round transcripts (every broadcast's value and resolved
-//! path, in emission order), the final received maps, and the overheard sets
-//! are identical across:
+//! path, in emission order), the final received maps, the overheard sets and
+//! the received counts are identical across:
 //!
 //! * [`LedgerFlooder`] — the production shared-fabric engine,
-//! * [`Flooder`] — the per-node path-interning control,
 //! * [`NaiveFlooder`] — the pre-interning reference.
 //!
 //! Scripts cover the fault-free case, relay tampering, attempted
 //! equivocation (suppressed by rule (ii)), omission (silent nodes and
 //! default injection), and divergent per-receiver deliveries (the situation
-//! where the ledger's per-node overrides must carry the engine).
+//! where the ledger's per-node overrides must carry the engine). Further
+//! tests compare the query accessors value by value.
 
-use lbc_consensus::flooding::{Flooder, LedgerFlooder, NaiveFloodMsg, NaiveFlooder};
+use lbc_consensus::flooding::{LedgerFlooder, NaiveFloodMsg, NaiveFlooder};
 use lbc_consensus::{conditions, runner, FloodMsg};
 use lbc_graph::{generators, Graph};
 use lbc_model::{
@@ -146,47 +146,6 @@ impl Engine for LedgerFlooder {
 
     fn received_count(&self) -> usize {
         LedgerFlooder::received_count(self)
-    }
-}
-
-impl Engine for Flooder {
-    type Msg = FloodMsg;
-
-    fn start(_nodes: usize, me: NodeId, input: Value) -> (Self, Vec<(Value, Vec<NodeId>)>) {
-        let (arena, _) = shared();
-        let (flooder, out) = Flooder::start(arena.clone(), me, input);
-        (flooder, resolve_out(&arena, &out))
-    }
-
-    fn make_msg(&self, value: Value, path: &[NodeId]) -> FloodMsg {
-        let (arena, _) = shared();
-        FloodMsg {
-            value,
-            path: arena.intern(&Path::from_nodes(path.iter().copied())),
-        }
-    }
-
-    fn run_round(
-        &mut self,
-        graph: &Graph,
-        first: bool,
-        inbox: &[Delivery<FloodMsg>],
-    ) -> Vec<(Value, Vec<NodeId>)> {
-        let out = self.on_round(graph, first, Inbox::direct(inbox));
-        let (arena, _) = shared();
-        resolve_out(&arena, &out)
-    }
-
-    fn received_from(&self, origin: NodeId) -> Vec<(Path, Value)> {
-        Flooder::received_from(self, origin)
-    }
-
-    fn overheard(&self) -> Vec<(NodeId, Path, Value)> {
-        Flooder::overheard(self)
-    }
-
-    fn received_count(&self) -> usize {
-        Flooder::received_count(self)
     }
 }
 
@@ -330,33 +289,23 @@ fn run_engine<E: Engine>(
 fn assert_equivalent(graph: &Graph, inputs: &[Value], fault: Fault, label: &str) {
     let rounds = graph.node_count() + 1;
     let naive = run_engine::<NaiveFlooder>(graph, inputs, rounds, fault);
-    for (engine, transcript) in [
-        (
-            "per-node",
-            run_engine::<Flooder>(graph, inputs, rounds, fault),
-        ),
-        (
-            "ledger",
-            run_engine::<LedgerFlooder>(graph, inputs, rounds, fault),
-        ),
-    ] {
-        assert_eq!(
-            transcript.rounds, naive.rounds,
-            "{label}/{engine}: per-round transcripts diverge"
-        );
-        assert_eq!(
-            transcript.received_from, naive.received_from,
-            "{label}/{engine}: received maps diverge"
-        );
-        assert_eq!(
-            transcript.overheard, naive.overheard,
-            "{label}/{engine}: overheard sets diverge"
-        );
-        assert_eq!(
-            transcript.received_counts, naive.received_counts,
-            "{label}/{engine}: received counts diverge"
-        );
-    }
+    let ledger = run_engine::<LedgerFlooder>(graph, inputs, rounds, fault);
+    assert_eq!(
+        ledger.rounds, naive.rounds,
+        "{label}: per-round transcripts diverge"
+    );
+    assert_eq!(
+        ledger.received_from, naive.received_from,
+        "{label}: received maps diverge"
+    );
+    assert_eq!(
+        ledger.overheard, naive.overheard,
+        "{label}: overheard sets diverge"
+    );
+    assert_eq!(
+        ledger.received_counts, naive.received_counts,
+        "{label}: received counts diverge"
+    );
 }
 
 fn alternating_inputs(count: usize) -> Vec<Value> {
@@ -440,12 +389,12 @@ fn wheel_and_circulant_floods_are_identical() {
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
 
-    /// Three-way ladder, randomized: on random connected graphs satisfying
-    /// the paper's f = 1 conditions, with a random tamper / omission /
-    /// equivocation fault, all three engines produce byte-identical
-    /// transcripts and final state.
+    /// Randomized: on random connected graphs satisfying the paper's f = 1
+    /// conditions, with a random tamper / omission / equivocation fault, the
+    /// ledger and naive engines produce byte-identical transcripts and final
+    /// state.
     #[test]
-    fn three_way_equivalence_on_random_connected_graphs(
+    fn ledger_naive_equivalence_on_random_connected_graphs(
         size in 5usize..9,
         seed in 0u64..10_000,
         fault_index in 0usize..9,
@@ -483,23 +432,24 @@ fn ledger_overrides_keep_divergent_views_per_node() {
     // transmissions claimed from their common neighbor 2.
     let (mut at1, _) = LedgerFlooder::start(arena.clone(), ledger.clone(), n(1), Value::Zero);
     let (mut at3, _) = LedgerFlooder::start(arena.clone(), ledger.clone(), n(3), Value::Zero);
-    let (mut control1, _) = Flooder::start(arena.clone(), n(1), Value::Zero);
-    let (mut control3, _) = Flooder::start(arena.clone(), n(3), Value::Zero);
+    // The per-node control: the reference engine keeps its own state.
+    let (mut control1, _) = NaiveFlooder::start(n(1), Value::Zero);
+    let (mut control3, _) = NaiveFlooder::start(n(3), Value::Zero);
 
     // Node 2 "initiates" with value One toward node 1 but value Zero toward
     // node 3 (an equivocation the physical layer permitted).
-    let to1 = [Delivery {
+    let from2 = |value| Delivery {
         from: n(2),
-        message: FloodMsg::initiation(Value::One),
-    }];
-    let to3 = [Delivery {
+        message: FloodMsg::initiation(value),
+    };
+    let naive_from2 = |value| Delivery {
         from: n(2),
-        message: FloodMsg::initiation(Value::Zero),
-    }];
-    let _ = at1.on_round(&graph, true, Inbox::direct(&to1));
-    let _ = at3.on_round(&graph, true, Inbox::direct(&to3));
-    let _ = control1.on_round(&graph, true, Inbox::direct(&to1));
-    let _ = control3.on_round(&graph, true, Inbox::direct(&to3));
+        message: NaiveFloodMsg::initiation(value),
+    };
+    let _ = at1.on_round(&graph, true, Inbox::direct(&[from2(Value::One)]));
+    let _ = at3.on_round(&graph, true, Inbox::direct(&[from2(Value::Zero)]));
+    let _ = control1.on_round(&graph, true, Inbox::direct(&[naive_from2(Value::One)]));
+    let _ = control3.on_round(&graph, true, Inbox::direct(&[naive_from2(Value::Zero)]));
 
     let via2_at1 = Path::from_nodes([n(2), n(1)]);
     let via2_at3 = Path::from_nodes([n(2), n(3)]);
@@ -557,47 +507,31 @@ fn ledger_restart_behaves_like_a_fresh_start() {
 #[test]
 fn query_accessors_agree_value_by_value() {
     // Beyond transcript equality: spot-check the query APIs (value_along,
-    // paths_with_value_excluding, overheard_exactly) on the clique where
-    // many paths exist.
+    // paths_with_value(_excluding), overheard(_ids), overheard_exactly) on
+    // the clique where many paths exist.
     let graph = generators::complete(5);
     let inputs = alternating_inputs(5);
     let (arena, ledger) = fresh_shared();
     let mut ledgered: Vec<LedgerFlooder> = Vec::new();
-    let mut interned: Vec<Flooder> = Vec::new();
     let mut naive: Vec<NaiveFlooder> = Vec::new();
     let mut pending_l = Vec::new();
-    let mut pending_i = Vec::new();
     let mut pending_n = Vec::new();
     for (v, &input) in inputs.iter().enumerate() {
         let (f, out) = LedgerFlooder::start(arena.clone(), ledger.clone(), n(v), input);
         ledgered.push(f);
         pending_l.push(out);
-        let (f, out) = Flooder::start(arena.clone(), n(v), input);
-        interned.push(f);
-        pending_i.push(out);
         let (f, out) = NaiveFlooder::start(n(v), input);
         naive.push(f);
         pending_n.push(out);
     }
     for round in 0..5 {
         let mut inboxes_l: Vec<Vec<Delivery<FloodMsg>>> = vec![Vec::new(); 5];
-        let mut inboxes_i: Vec<Vec<Delivery<FloodMsg>>> = vec![Vec::new(); 5];
         let mut inboxes_n: Vec<Vec<Delivery<NaiveFloodMsg>>> = vec![Vec::new(); 5];
         for sender in 0..5 {
             for o in &pending_l[sender] {
                 if let Outgoing::Broadcast(m) = o {
                     for neighbor in graph.neighbors(n(sender)) {
                         inboxes_l[neighbor.index()].push(Delivery {
-                            from: n(sender),
-                            message: *m,
-                        });
-                    }
-                }
-            }
-            for o in &pending_i[sender] {
-                if let Outgoing::Broadcast(m) = o {
-                    for neighbor in graph.neighbors(n(sender)) {
-                        inboxes_i[neighbor.index()].push(Delivery {
                             from: n(sender),
                             message: *m,
                         });
@@ -617,47 +551,42 @@ fn query_accessors_agree_value_by_value() {
         }
         for v in 0..5 {
             pending_l[v] = ledgered[v].on_round(&graph, round == 0, Inbox::direct(&inboxes_l[v]));
-            pending_i[v] = interned[v].on_round(&graph, round == 0, Inbox::direct(&inboxes_i[v]));
             pending_n[v] = naive[v].on_round(&graph, round == 0, Inbox::direct(&inboxes_n[v]));
         }
     }
     let exclude: NodeSet = [n(1), n(3)].into_iter().collect();
     for v in 0..5 {
-        assert_eq!(ledgered[v].overheard_ids(), interned[v].overheard_ids());
-        for (from, path, value) in interned[v].overheard_ids() {
+        let overheard = naive[v].overheard();
+        assert_eq!(ledgered[v].overheard(), overheard, "overheard(v{v})");
+        let resolved: Vec<(NodeId, Path, Value)> = ledgered[v]
+            .overheard_ids()
+            .into_iter()
+            .map(|(from, path, value)| (from, arena.resolve(path), value))
+            .collect();
+        assert_eq!(resolved, overheard, "overheard_ids(v{v})");
+        for (from, path, value) in overheard {
+            let path = arena.intern(&path);
             assert!(ledgered[v].overheard_exactly(from, path, value));
             assert!(!ledgered[v].overheard_exactly(from, path, value.flipped()));
         }
         for origin in 0..5 {
             for value in [Value::Zero, Value::One] {
-                let expected = naive[v].paths_with_value(n(origin), value);
-                assert_eq!(
-                    interned[v].paths_with_value(n(origin), value),
-                    expected,
-                    "per-node paths_with_value(v{v}, origin v{origin}, {value})"
-                );
                 assert_eq!(
                     ledgered[v].paths_with_value(n(origin), value),
-                    expected,
-                    "ledger paths_with_value(v{v}, origin v{origin}, {value})"
+                    naive[v].paths_with_value(n(origin), value),
+                    "paths_with_value(v{v}, origin v{origin}, {value})"
                 );
                 assert_eq!(
                     ledgered[v].paths_with_value_excluding(n(origin), value, &exclude),
                     naive[v].paths_with_value_excluding(n(origin), value, &exclude),
-                    "ledger paths_with_value_excluding(v{v}, origin v{origin}, {value})"
+                    "paths_with_value_excluding(v{v}, origin v{origin}, {value})"
                 );
             }
             for (path, _) in naive[v].received_from(n(origin)) {
-                let expected = naive[v].value_along(&path);
-                assert_eq!(
-                    interned[v].value_along(&path),
-                    expected,
-                    "per-node value_along(v{v}, {path})"
-                );
                 assert_eq!(
                     ledgered[v].value_along(&path),
-                    expected,
-                    "ledger value_along(v{v}, {path})"
+                    naive[v].value_along(&path),
+                    "value_along(v{v}, {path})"
                 );
             }
         }
@@ -665,11 +594,11 @@ fn query_accessors_agree_value_by_value() {
 }
 
 // ---------------------------------------------------------------------------
-// Regime equivalence: the ladder extended to the asynchronous regime.
+// Regime equivalence: the comparison extended to the asynchronous regime.
 // ---------------------------------------------------------------------------
 //
-// The engine ladder above proves three implementations of the flood rules
-// agree under lockstep delivery. The asynchronous regime adds a second
+// The engine comparison above proves the two implementations of the flood
+// rules agree under lockstep delivery. The asynchronous regime adds a second
 // quantifier: the *delivery schedule*. On graphs that satisfy the async
 // threshold (connectivity ≥ 2f + 1), a completed flood's accepted
 // `(sender, path) → value` map — and therefore the async algorithm's

@@ -61,7 +61,7 @@ pub fn e1_fig1a_cycle() -> ExperimentResult {
                 t1.total_transmissions().to_string(),
             ]);
             // Algorithm 2 is only guaranteed against commission faults
-            // (see the Appendix C omission gap documented in EXPERIMENTS.md).
+            // (see the Appendix C omission gap in the `Algorithm2Node` docs).
             if *strategy != Strategy::Silent {
                 let mut adversary = strategy.clone().into_adversary();
                 let (o2, t2) = runner::run_algorithm2(&graph, 1, &inputs, &faulty, &mut adversary);

@@ -1,8 +1,8 @@
 //! # lbc-experiments
 //!
 //! The experiment harness that regenerates every figure and theorem-level
-//! claim of the paper as a reproducible table (see `EXPERIMENTS.md` at the
-//! workspace root for the experiment ↔ paper mapping).
+//! claim of the paper as a reproducible table. The table below maps each
+//! experiment to its paper artifact; `lbc experiments [ID]` prints them.
 //!
 //! | id | paper artifact | function |
 //! |----|----------------|----------|
@@ -15,14 +15,14 @@
 //! | E7 | Theorem 6.1: hybrid trade-off | [`e7_hybrid_tradeoff`] |
 //! | E8 | Section 5.3: reliable receive & fault identification | [`e8_reliable_receive`] |
 //!
-//! E1 and E6 additionally exist as declarative campaign specs
-//! ([`e1_campaign_spec`] / [`e6_campaign_spec`], mirrored by the committed
-//! files under `examples/campaigns/`) driving the `lbc-campaign` sweep
-//! engine — same coverage, but expressed as data and executed by the
-//! deterministic parallel executor.
+//! E1 and E6 additionally exist as declarative campaign specs, the
+//! committed `examples/campaigns/e1_fig1a.json` and `e6_complexity.json`,
+//! which `lbc campaign` runs through the `lbc-campaign` sweep engine — same
+//! coverage, but expressed as data and executed by the deterministic
+//! parallel executor. This crate's integration tests run both specs.
 //!
 //! Each function returns an [`ExperimentResult`] that renders to a plain-text
-//! table (and serializes to JSON via serde), so `cargo bench` and the
+//! table (and to JSON through `lbc_model::json`), so `cargo bench` and the
 //! examples can print the same rows the paper's claims correspond to.
 //!
 //! # Example
@@ -37,14 +37,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod campaigns;
 mod experiments;
 mod result;
 
-pub use campaigns::{
-    async_boundary_campaign_spec, boundary_search_spec, e1_campaign_spec, e1_via_campaign,
-    e6_campaign_spec, e6_via_campaign, gst_boundary_campaign_spec, report_as_experiment,
-};
 pub use experiments::{
     all_experiments, e1_fig1a_cycle, e2_fig1b_f2, e3_degree_lower_bound,
     e4_connectivity_lower_bound, e5_threshold_sweep, e6_round_complexity, e7_hybrid_tradeoff,

@@ -5,7 +5,7 @@ use lbc_model::json::{FromJson, Json, JsonError, ToJson};
 /// The result of one experiment: a labelled table plus free-form notes.
 ///
 /// Rendering is deliberately plain text so that `cargo bench`/examples can
-/// print exactly the rows recorded in `EXPERIMENTS.md`.
+/// print exactly the rows `lbc experiments` prints.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExperimentResult {
     /// Experiment identifier ("E1" … "E8").

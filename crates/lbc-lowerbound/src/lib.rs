@@ -14,7 +14,7 @@
 //! `E3` of that protocol on `G`; if the protocol were correct on `G`
 //! tolerating `f` faults, validity in `E1`/`E3` would force outputs that make
 //! `E2` violate agreement. The [`ImpossibilityReport`] returned by
-//! [`DoubledNetwork::demonstrate`] exhibits the violation concretely.
+//! [`Construction::demonstrate`] exhibits the violation concretely.
 //!
 //! # Example
 //!

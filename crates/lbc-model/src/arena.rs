@@ -100,7 +100,9 @@ struct Entry {
 
 /// A prefix-trie arena interning node paths.
 ///
-/// See the [module documentation](self) for the design rationale.
+/// Paths form a prefix trie of `(parent, last)` entries, so a path is a
+/// copyable [`PathId`] and `Π‑u` is one hash lookup instead of a `Vec`
+/// clone; each entry memoizes its member set as a [`NodeSet`] bitset.
 #[derive(Debug)]
 pub struct PathArena {
     entries: Vec<Entry>,

@@ -17,9 +17,10 @@
 //! different receivers, i.e. hybrid-model equivocators or the point-to-point
 //! baseline — stores a per-node override, and queries always answer with the
 //! node's own view. The ledger-backed engines are therefore observably
-//! identical to the per-node control engines under *every* communication
-//! model; under local broadcast the overrides are provably empty and every
-//! receiver after the first pays one lookup instead of one insertion.
+//! identical to per-node flood state (the reference engine keeps one map
+//! per node) under *every* communication model; under local broadcast the
+//! overrides are provably empty and every receiver after the first pays one
+//! lookup instead of one insertion.
 //!
 //! # Channels
 //!
@@ -290,7 +291,8 @@ pub enum ChannelEvent {
     },
 }
 
-/// The execution-wide flood ledger. See the [module docs](self).
+/// The execution-wide flood ledger: every distinct broadcast recorded once
+/// per execution, on channels named by `(tag, epoch)` pairs.
 ///
 /// Like the [`crate::PathArena`], one ledger exists per simulated execution
 /// and is shared by every node through the simulator's node context

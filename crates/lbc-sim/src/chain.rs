@@ -159,9 +159,9 @@ impl<P: Protocol> Network<P> {
     /// node set) and returning one fresh protocol per node.
     ///
     /// Each instance gets at most `max_steps_per_instance` steps. Instance
-    /// `k + 1` starts while instance `k`'s flood tail drains (see the
-    /// [module docs](self) for the isolation argument); the arena and the
-    /// ledger's pair-path memos stay warm across instances. An attached
+    /// `k + 1` starts while instance `k`'s flood tail drains (ledger
+    /// sessions and routing by instance keep the two apart); the arena and
+    /// the ledger's pair-path memos stay warm across instances. An attached
     /// observer receives every step's events; the run-level `RunStart` and
     /// `RunEnd` events are [`Network::run_under`]'s.
     ///

@@ -1,5 +1,5 @@
 //! Regenerates every experiment table (E1–E8) and prints them — the same rows
-//! recorded in `EXPERIMENTS.md`.
+//! `lbc experiments` prints.
 //!
 //! Run with: `cargo run --release --example report`
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Regenerates a bench baseline file: runs the baseline bench targets (the
-# flood-engine benches, the feasibility sweep, and the execution-regime
-# workloads — the async algorithm across the scheduler grid) and aggregates
-# the criterion-shim JSON records — including naive/per-node/ledger speedup
-# triples — into one file at the workspace root.
+# flood-engine benches, the feasibility sweep, the execution-regime
+# workloads — the async algorithm across the scheduler grid — and the serve
+# throughput family) and collects the criterion-shim JSON records into one
+# file at the workspace root. bench_gate derives the naive-over-ledger
+# speedups from the medians it records.
 #
 #   scripts/bench_baseline.sh              # writes BENCH_baseline.json
 #   scripts/bench_baseline.sh BENCH_pr5.json

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Bench-regression gate: re-measures the flood-engine baseline on this
-# machine and compares the naive / per-node / ledger speedup triples against
-# the committed baseline with a ±25% tolerance. Absolute nanosecond medians
-# differ across hardware; the engine *ratios* are far more stable — a drop
-# past the tolerance is an engine regression and fails the job.
+# machine and compares the naive-over-ledger speedup of every *_naive /
+# *_ledger bench pair (computed by bench_gate from the medians in both
+# files) against the committed baseline with a ±25% tolerance. Absolute
+# nanosecond medians differ across hardware; the engine *ratios* are far
+# more stable — a drop past the tolerance is an engine regression and fails
+# the job.
 #
 # The default baseline is BENCH_pr4.json (the PR-4 snapshot; ratios drift
 # across hardware generations, so the committed baseline should be
