@@ -25,7 +25,7 @@
 //! ```
 //! use lbc_adversary::Strategy;
 //! use lbc_graph::generators;
-//! use lbc_model::{CommModel, NodeId, NodeSet, Value};
+//! use lbc_model::{CommModel, NodeId, NodeSet, Regime, Value};
 //! use lbc_sim::{EchoOnce, Network};
 //!
 //! // One silent (crashed) node on the 5-cycle: its neighbors hear nothing.
@@ -34,7 +34,7 @@
 //! let faulty = NodeSet::singleton(NodeId::new(2));
 //! let mut network = Network::new(graph, CommModel::LocalBroadcast, faulty, nodes);
 //! let mut adversary = Strategy::Silent.into_adversary();
-//! let report = network.run(&mut adversary, 10);
+//! let report = network.run_under(&Regime::Synchronous, &mut adversary, 10);
 //! assert!(report.all_non_faulty_terminated);
 //! assert_eq!(network.node(NodeId::new(1)).heard().len(), 1); // only node 0 was heard
 //! ```

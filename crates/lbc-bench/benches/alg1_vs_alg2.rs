@@ -8,9 +8,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use lbc_adversary::Strategy;
-use lbc_consensus::runner;
+use lbc_consensus::{runner, AlgorithmKind};
 use lbc_graph::generators;
-use lbc_model::{InputAssignment, NodeId, NodeSet};
+use lbc_model::{InputAssignment, NodeId, NodeSet, Regime};
 
 fn bench(c: &mut Criterion) {
     lbc_bench::print_experiment(&lbc_experiments::e6_round_complexity());
@@ -25,13 +25,29 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("algorithm1_cycle_f1", n), &n, |b, _| {
             b.iter(|| {
                 let mut adversary = Strategy::TamperRelays.into_adversary();
-                runner::run_algorithm1(&graph, 1, &inputs, &faulty, &mut adversary)
+                runner::run_kind_under(
+                    AlgorithmKind::Algorithm1,
+                    &Regime::Synchronous,
+                    &graph,
+                    1,
+                    &inputs,
+                    &faulty,
+                    &mut adversary,
+                )
             });
         });
         group.bench_with_input(BenchmarkId::new("algorithm2_cycle_f1", n), &n, |b, _| {
             b.iter(|| {
                 let mut adversary = Strategy::TamperRelays.into_adversary();
-                runner::run_algorithm2(&graph, 1, &inputs, &faulty, &mut adversary)
+                runner::run_kind_under(
+                    AlgorithmKind::Algorithm2,
+                    &Regime::Synchronous,
+                    &graph,
+                    1,
+                    &inputs,
+                    &faulty,
+                    &mut adversary,
+                )
             });
         });
     }
@@ -43,7 +59,15 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("p2p_baseline_kn_f1", n), &n, |b, _| {
             b.iter(|| {
                 let mut adversary = Strategy::Equivocate.into_adversary();
-                runner::run_p2p_baseline(&graph, 1, &inputs, &faulty, &mut adversary)
+                runner::run_kind_under(
+                    AlgorithmKind::P2pBaseline,
+                    &Regime::Synchronous,
+                    &graph,
+                    1,
+                    &inputs,
+                    &faulty,
+                    &mut adversary,
+                )
             });
         });
     }

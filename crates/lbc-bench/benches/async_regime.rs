@@ -19,7 +19,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use lbc_adversary::Strategy;
-use lbc_consensus::runner;
+use lbc_consensus::{runner, AlgorithmKind};
 use lbc_graph::generators;
 use lbc_model::{AsyncRegime, InputAssignment, NodeId, NodeSet, Regime, SchedulerKind};
 
@@ -30,7 +30,15 @@ fn bench(c: &mut Criterion) {
 
     let run_under = |regime: &Regime| {
         let mut adversary = Strategy::TamperRelays.into_adversary();
-        runner::run_async_flood(&graph, 1, &inputs, &faulty, regime, &mut adversary)
+        runner::run_kind_under(
+            AlgorithmKind::AsyncFlood,
+            regime,
+            &graph,
+            1,
+            &inputs,
+            &faulty,
+            &mut adversary,
+        )
     };
 
     let mut group = c.benchmark_group("async_regime");
@@ -98,12 +106,13 @@ fn bench(c: &mut Criterion) {
         });
         b.iter(|| {
             let mut adversary = Strategy::TamperRelays.into_adversary();
-            black_box(runner::run_async_flood(
+            black_box(runner::run_kind_under(
+                AlgorithmKind::AsyncFlood,
+                &regime,
                 &c11,
                 1,
                 &inputs11,
                 &faulty11,
-                &regime,
                 &mut adversary,
             ))
         });

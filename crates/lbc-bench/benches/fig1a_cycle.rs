@@ -9,9 +9,9 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use lbc_adversary::Strategy;
 use lbc_bench::floodsim;
-use lbc_consensus::runner;
+use lbc_consensus::{runner, AlgorithmKind};
 use lbc_graph::generators;
-use lbc_model::{InputAssignment, NodeId, NodeSet};
+use lbc_model::{InputAssignment, NodeId, NodeSet, Regime};
 
 fn bench(c: &mut Criterion) {
     lbc_bench::print_experiment(&lbc_experiments::e1_fig1a_cycle());
@@ -25,13 +25,29 @@ fn bench(c: &mut Criterion) {
     group.bench_function("algorithm1_c5_f1_tamper", |b| {
         b.iter(|| {
             let mut adversary = Strategy::TamperRelays.into_adversary();
-            runner::run_algorithm1(&graph, 1, &inputs, &faulty, &mut adversary)
+            runner::run_kind_under(
+                AlgorithmKind::Algorithm1,
+                &Regime::Synchronous,
+                &graph,
+                1,
+                &inputs,
+                &faulty,
+                &mut adversary,
+            )
         });
     });
     group.bench_function("algorithm2_c5_f1_tamper", |b| {
         b.iter(|| {
             let mut adversary = Strategy::TamperRelays.into_adversary();
-            runner::run_algorithm2(&graph, 1, &inputs, &faulty, &mut adversary)
+            runner::run_kind_under(
+                AlgorithmKind::Algorithm2,
+                &Regime::Synchronous,
+                &graph,
+                1,
+                &inputs,
+                &faulty,
+                &mut adversary,
+            )
         });
     });
 
@@ -42,7 +58,15 @@ fn bench(c: &mut Criterion) {
     group.bench_function("algorithm1_c13_f1_tamper", |b| {
         b.iter(|| {
             let mut adversary = Strategy::TamperRelays.into_adversary();
-            runner::run_algorithm1(&c13, 1, &inputs13, &faulty13, &mut adversary)
+            runner::run_kind_under(
+                AlgorithmKind::Algorithm1,
+                &Regime::Synchronous,
+                &c13,
+                1,
+                &inputs13,
+                &faulty13,
+                &mut adversary,
+            )
         });
     });
 

@@ -6,9 +6,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use lbc_adversary::Strategy;
-use lbc_consensus::runner;
+use lbc_consensus::{runner, AlgorithmKind};
 use lbc_graph::generators;
-use lbc_model::{InputAssignment, NodeId, NodeSet};
+use lbc_model::{InputAssignment, NodeId, NodeSet, Regime};
 
 fn bench(c: &mut Criterion) {
     lbc_bench::print_experiment(&lbc_experiments::e2_fig1b_f2());
@@ -22,13 +22,29 @@ fn bench(c: &mut Criterion) {
     group.bench_function("algorithm1_k5_f2_tamper", |b| {
         b.iter(|| {
             let mut adversary = Strategy::TamperRelays.into_adversary();
-            runner::run_algorithm1(&k5, 2, &inputs5, &faulty, &mut adversary)
+            runner::run_kind_under(
+                AlgorithmKind::Algorithm1,
+                &Regime::Synchronous,
+                &k5,
+                2,
+                &inputs5,
+                &faulty,
+                &mut adversary,
+            )
         });
     });
     group.bench_function("algorithm2_k5_f2_tamper", |b| {
         b.iter(|| {
             let mut adversary = Strategy::TamperRelays.into_adversary();
-            runner::run_algorithm2(&k5, 2, &inputs5, &faulty, &mut adversary)
+            runner::run_kind_under(
+                AlgorithmKind::Algorithm2,
+                &Regime::Synchronous,
+                &k5,
+                2,
+                &inputs5,
+                &faulty,
+                &mut adversary,
+            )
         });
     });
 
@@ -37,7 +53,15 @@ fn bench(c: &mut Criterion) {
     group.bench_function("algorithm2_c6_12_f2_tamper", |b| {
         b.iter(|| {
             let mut adversary = Strategy::TamperRelays.into_adversary();
-            runner::run_algorithm2(&c6, 2, &inputs6, &faulty, &mut adversary)
+            runner::run_kind_under(
+                AlgorithmKind::Algorithm2,
+                &Regime::Synchronous,
+                &c6,
+                2,
+                &inputs6,
+                &faulty,
+                &mut adversary,
+            )
         });
     });
     group.finish();

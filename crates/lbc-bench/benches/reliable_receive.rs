@@ -11,9 +11,9 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use lbc_adversary::Strategy;
 use lbc_bench::floodsim;
-use lbc_consensus::{runner, Algorithm2Node};
+use lbc_consensus::{runner, Algorithm2Node, AlgorithmKind};
 use lbc_graph::generators;
-use lbc_model::{CommModel, InputAssignment, NodeId, NodeSet};
+use lbc_model::{CommModel, InputAssignment, NodeId, NodeSet, Regime};
 use lbc_sim::Network;
 
 fn bench(c: &mut Criterion) {
@@ -28,7 +28,15 @@ fn bench(c: &mut Criterion) {
     group.bench_function("algorithm2_k5_f2_identification", |b| {
         b.iter(|| {
             let mut adversary = Strategy::TamperRelays.into_adversary();
-            runner::run_algorithm2(&graph, 2, &inputs, &faulty, &mut adversary)
+            runner::run_kind_under(
+                AlgorithmKind::Algorithm2,
+                &Regime::Synchronous,
+                &graph,
+                2,
+                &inputs,
+                &faulty,
+                &mut adversary,
+            )
         });
     });
     group.bench_function("algorithm2_k5_f2_inspect_roles", |b| {
@@ -45,7 +53,11 @@ fn bench(c: &mut Criterion) {
             )
             .with_fault_bound(2);
             let mut adversary = Strategy::TamperRelays.into_adversary();
-            let _ = network.run(&mut adversary, Algorithm2Node::round_count(5) + 2);
+            let _ = network.run_under(
+                &Regime::Synchronous,
+                &mut adversary,
+                Algorithm2Node::round_count(5) + 2,
+            );
             graph
                 .nodes()
                 .filter(|v| !faulty.contains(*v))

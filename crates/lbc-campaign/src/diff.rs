@@ -769,7 +769,10 @@ mod tests {
             limits: None,
             serve: None,
         };
-        let text = crate::run_search(&spec, 2).unwrap().to_json().to_string();
+        let text = crate::run_search_resumed(&spec, None, 2)
+            .unwrap()
+            .to_json()
+            .to_string();
         Json::parse(&text).unwrap()
     }
 

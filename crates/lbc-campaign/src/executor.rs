@@ -131,7 +131,8 @@ impl Progress {
 }
 
 /// Expands `spec` and executes every scenario on `workers` threads,
-/// returning the aggregated report.
+/// returning the aggregated report: [`CampaignSpec::expand_noted`]
+/// followed by [`run_scenarios_resumable`] with [`ExecOptions::new`].
 ///
 /// `workers` is clamped to at least 1; `workers == 1` runs everything on
 /// the calling thread (no pool), which the campaign bench uses as the
@@ -145,33 +146,8 @@ impl Progress {
 /// panicking or over-budget scenario is quarantined as a `failed` /
 /// `timeout` record).
 pub fn run_campaign(spec: &CampaignSpec, workers: usize) -> Result<CampaignReport, SpecError> {
-    run_campaign_opts(spec, &ExecOptions::new(workers))
-}
-
-/// [`run_campaign`] with full [`ExecOptions`]: optional per-cell telemetry
-/// collection, stderr progress ticks, watchdog budget, and checkpointed
-/// resume.
-///
-/// # Errors
-///
-/// Returns a [`SpecError`] when the spec fails to expand, or when resuming
-/// and the checkpoint journal exists but does not belong to this campaign.
-pub fn run_campaign_opts(
-    spec: &CampaignSpec,
-    options: &ExecOptions,
-) -> Result<CampaignReport, SpecError> {
-    let expand_started = Instant::now();
     let (scenarios, notes) = spec.expand_noted()?;
-    let expand_micros = phase_micros(expand_started);
-    let prefill = load_prefill(spec, &scenarios, options)?;
-    Ok(run_scenarios_full(
-        spec,
-        &scenarios,
-        notes,
-        options,
-        Some(expand_micros),
-        prefill,
-    ))
+    run_scenarios_resumable(spec, &scenarios, notes, &ExecOptions::new(workers))
 }
 
 /// Executes already-expanded scenarios (from [`CampaignSpec::expand_noted`]
@@ -195,9 +171,24 @@ pub fn run_scenarios_resumable(
     options: &ExecOptions,
 ) -> Result<CampaignReport, SpecError> {
     let prefill = load_prefill(spec, scenarios, options)?;
-    Ok(run_scenarios_full(
-        spec, scenarios, notes, options, None, prefill,
-    ))
+    let execute_started = Instant::now();
+    let (records, cells) = execute_scenarios_opts(spec, scenarios, options, prefill);
+    let execute_micros = phase_micros(execute_started);
+    let aggregate_started = Instant::now();
+    let report = CampaignReport::with_notes(spec.name.clone(), spec.seed, notes, records);
+    let Some(cells) = cells else {
+        return Ok(report);
+    };
+    // Force the rollup aggregation so the `aggregate` phase measures the
+    // report-assembly cost rather than deferring it to the first renderer.
+    let _ = report.rollups();
+    Ok(report.with_telemetry(CampaignTelemetry {
+        cells,
+        phase_micros: vec![
+            ("execute".to_string(), execute_micros),
+            ("aggregate".to_string(), phase_micros(aggregate_started)),
+        ],
+    }))
 }
 
 /// Loads the checkpoint journal into a by-index prefill vector when
@@ -238,37 +229,6 @@ fn load_prefill(
         }
     }
     Ok(prefill)
-}
-
-fn run_scenarios_full(
-    spec: &CampaignSpec,
-    scenarios: &[Scenario],
-    notes: Vec<String>,
-    options: &ExecOptions,
-    expand_micros: Option<u64>,
-    prefill: Vec<Option<ScenarioRecord>>,
-) -> CampaignReport {
-    let execute_started = Instant::now();
-    let (records, cells) = execute_scenarios_opts(spec, scenarios, options, prefill);
-    let execute_micros = phase_micros(execute_started);
-    let aggregate_started = Instant::now();
-    let report = CampaignReport::with_notes(spec.name.clone(), spec.seed, notes, records);
-    let Some(cells) = cells else {
-        return report;
-    };
-    // Force the rollup aggregation so the `aggregate` phase measures the
-    // report-assembly cost rather than deferring it to the first renderer.
-    let _ = report.rollups();
-    let mut phase_micros_list = Vec::new();
-    if let Some(micros) = expand_micros {
-        phase_micros_list.push(("expand".to_string(), micros));
-    }
-    phase_micros_list.push(("execute".to_string(), execute_micros));
-    phase_micros_list.push(("aggregate".to_string(), phase_micros(aggregate_started)));
-    report.with_telemetry(CampaignTelemetry {
-        cells,
-        phase_micros: phase_micros_list,
-    })
 }
 
 fn phase_micros(started: Instant) -> u64 {

@@ -102,17 +102,16 @@ pub use chaos::ChaosPolicy;
 pub use checkpoint::{Checkpoint, CheckpointConfig};
 pub use diff::{diff_report_texts, diff_reports, CampaignDiff, CellChange, DiffOptions};
 pub use executor::{
-    run_campaign, run_campaign_opts, run_scenario, run_scenario_observed, run_scenarios_resumable,
-    ExecOptions,
+    run_campaign, run_scenario, run_scenario_observed, run_scenarios_resumable, ExecOptions,
 };
 pub use explain::{replay_scenario, TraceReplay};
 pub use report::{CampaignReport, CellStatus, RollupRow, ScenarioRecord};
 pub use search::{
-    render_search_plan, run_search, run_search_resumed, CellOutcome, Counterexample, SearchReport,
-    SearchSpec, Severity,
+    render_search_plan, run_search_resumed, CellOutcome, Counterexample, SearchReport, SearchSpec,
+    Severity,
 };
 pub use serve::{
-    run_serve, run_serve_opts, InstanceRecord, LaneReport, ServeLaneSpec, ServeReport, ServeSpec,
+    run_serve_opts, InstanceRecord, LaneReport, ServeLaneSpec, ServeReport, ServeSpec,
 };
 pub use spec::{
     CampaignSpec, FaultPolicy, GraphFamily, InputPolicy, LimitsSpec, RegimeSpec, Scenario,

@@ -1293,16 +1293,6 @@ fn cell_to_json(cell: &CellOutcome) -> Json {
 // entry points
 // ---------------------------------------------------------------------------
 
-/// Runs the per-cell worst-case search for `spec` on `workers` threads.
-///
-/// # Errors
-///
-/// Returns a [`SpecError`] when the spec's sweeps are invalid or the search
-/// knobs fail [`SearchSpec::validate`].
-pub fn run_search(spec: &CampaignSpec, workers: usize) -> Result<SearchReport, SpecError> {
-    run_search_resumed(spec, None, workers)
-}
-
 /// Renders the expanded cell table of a search spec **without executing
 /// anything** — the `lbc search --list` debugging view: one row per cell
 /// with its coordinates, regime, feasibility and seeded-frontier size.
@@ -1342,8 +1332,10 @@ pub fn render_search_plan(spec: &CampaignSpec) -> Result<String, SpecError> {
     Ok(out)
 }
 
-/// Like [`run_search`], but restores per-cell frontiers from a prior
-/// canonical search report: cells are matched by `(graph, f, algorithm)`
+/// Runs the per-cell worst-case search for `spec` on `workers` threads.
+///
+/// With `prior` set, restores per-cell frontiers from a prior canonical
+/// search report: cells are matched by `(graph, f, algorithm)`
 /// coordinates, matched cells skip their seed round and continue the
 /// mutation schedule, and unmatched cells search from scratch.
 ///
@@ -1497,7 +1489,7 @@ mod tests {
 
     #[test]
     fn search_rediscovers_the_c13_omission_gap_and_minimizes_it() {
-        let report = run_search(&c13_alg2_spec(80, 2), 2).unwrap();
+        let report = run_search_resumed(&c13_alg2_spec(80, 2), None, 2).unwrap();
         assert_eq!(report.cells().len(), 1);
         let cell = &report.cells()[0];
         assert_eq!(cell.graph, "C13");

@@ -598,22 +598,15 @@ fn percentile<T: Ord + Copy + Default>(values: impl Iterator<Item = T>, p: usize
 // execution
 // ---------------------------------------------------------------------------
 
-/// Runs the spec's `"serve"` block with the configured instance count.
+/// Runs the spec's `"serve"` block with the configured instance count, or
+/// with `instances_override` instances per lane (the CLI `--instances`
+/// flag).
 ///
 /// # Errors
 ///
-/// Returns a [`SpecError`] when the spec has no serve block or a lane is
-/// invalid (bad family/size, out-of-range fault, regime mismatch).
-pub fn run_serve(spec: &CampaignSpec, workers: usize) -> Result<ServeReport, SpecError> {
-    run_serve_opts(spec, workers, None)
-}
-
-/// Runs the spec's `"serve"` block, optionally overriding the per-lane
-/// instance count (the CLI `--instances` flag).
-///
-/// # Errors
-///
-/// Same conditions as [`run_serve`].
+/// Returns a [`SpecError`] when the spec has no serve block, the instance
+/// count is zero, or a lane is invalid (bad family/size, out-of-range
+/// fault, regime mismatch).
 pub fn run_serve_opts(
     spec: &CampaignSpec,
     workers: usize,
@@ -759,7 +752,7 @@ mod tests {
 
     #[test]
     fn serve_runs_every_lane_and_instance_correctly() {
-        let report = run_serve(&serve_spec(), 2).unwrap();
+        let report = run_serve_opts(&serve_spec(), 2, None).unwrap();
         assert_eq!(report.lanes().len(), 2);
         for lane in report.lanes() {
             assert_eq!(lane.instances.len(), 6);
@@ -778,8 +771,14 @@ mod tests {
     #[test]
     fn serve_canonical_report_is_worker_count_invariant() {
         let spec = serve_spec();
-        let one = run_serve(&spec, 1).unwrap().to_json().to_string();
-        let many = run_serve(&spec, 8).unwrap().to_json().to_string();
+        let one = run_serve_opts(&spec, 1, None)
+            .unwrap()
+            .to_json()
+            .to_string();
+        let many = run_serve_opts(&spec, 8, None)
+            .unwrap()
+            .to_json()
+            .to_string();
         assert_eq!(one, many);
     }
 
@@ -791,10 +790,10 @@ mod tests {
         assert!(run_serve_opts(&spec, 1, Some(0)).is_err());
         let mut bare = spec.clone();
         bare.serve = None;
-        assert!(run_serve(&bare, 1).is_err());
+        assert!(run_serve_opts(&bare, 1, None).is_err());
         let mut bad = spec.clone();
         bad.serve.as_mut().unwrap().lanes[0].faulty = vec![99];
-        assert!(run_serve(&bad, 1).is_err());
+        assert!(run_serve_opts(&bad, 1, None).is_err());
     }
 
     #[test]

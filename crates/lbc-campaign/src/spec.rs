@@ -17,8 +17,7 @@ use lbc_graph::{combinatorics, generators, Graph};
 use lbc_model::fx::FxHashSet;
 use lbc_model::json::{u64_from_number_or_string, FromJson, Json, JsonError, ToJson};
 use lbc_model::{
-    AdversarialSchedule, AsyncRegime, CommModel, InputAssignment, NodeId, NodeSet, Regime,
-    SchedulerKind,
+    AdversarialSchedule, AsyncRegime, InputAssignment, NodeId, NodeSet, Regime, SchedulerKind,
 };
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -1633,15 +1632,6 @@ impl Scenario {
     #[must_use]
     pub fn build_graph(&self) -> Graph {
         self.family.build(self.n)
-    }
-
-    /// The communication model the scenario's algorithm runs under.
-    #[must_use]
-    pub fn comm_model(&self) -> CommModel {
-        match self.algorithm {
-            AlgorithmKind::P2pBaseline => CommModel::PointToPoint,
-            _ => CommModel::LocalBroadcast,
-        }
     }
 }
 

@@ -11,8 +11,8 @@
 
 use lbc_campaign::spec::{FRange, RegimeSpec};
 use lbc_campaign::{
-    run_search, run_search_resumed, CampaignSpec, FaultPolicy, GraphFamily, InputPolicy,
-    SearchSpec, SizeSpec, StrategySpec, SweepSpec,
+    run_search_resumed, CampaignSpec, FaultPolicy, GraphFamily, InputPolicy, SearchSpec, SizeSpec,
+    StrategySpec, SweepSpec,
 };
 use lbc_consensus::AlgorithmKind;
 use lbc_model::json::Json;
@@ -51,10 +51,16 @@ fn search_spec(budget: usize) -> CampaignSpec {
 #[test]
 fn search_report_is_byte_identical_across_worker_counts() {
     let spec = search_spec(70);
-    let baseline = run_search(&spec, 1).unwrap().to_json().to_string();
+    let baseline = run_search_resumed(&spec, None, 1)
+        .unwrap()
+        .to_json()
+        .to_string();
     assert!(!baseline.is_empty());
     for workers in [2, 8] {
-        let report = run_search(&spec, workers).unwrap().to_json().to_string();
+        let report = run_search_resumed(&spec, None, workers)
+            .unwrap()
+            .to_json()
+            .to_string();
         assert_eq!(
             report, baseline,
             "canonical search report differs at {workers} workers"
@@ -67,7 +73,7 @@ fn budget_resume_equals_one_shot() {
     // The seed round must fit the small budget: resume can only continue
     // the mutation schedule, not recover truncated seeds.
     let small = search_spec(25);
-    let first = run_search(&small, 2).unwrap();
+    let first = run_search_resumed(&small, None, 2).unwrap();
     let first_json = Json::parse(&first.to_json().to_string()).unwrap();
     assert!(
         first.cells().iter().any(|cell| cell.exhausted),
@@ -80,14 +86,17 @@ fn budget_resume_equals_one_shot() {
         .unwrap()
         .to_json()
         .to_string();
-    let one_shot = run_search(&large, 2).unwrap().to_json().to_string();
+    let one_shot = run_search_resumed(&large, None, 2)
+        .unwrap()
+        .to_json()
+        .to_string();
     assert_eq!(resumed, one_shot, "resume diverged from the one-shot run");
 }
 
 #[test]
 fn resume_rejects_reports_from_a_different_campaign() {
     let spec = search_spec(70);
-    let report = run_search(&spec, 2).unwrap();
+    let report = run_search_resumed(&spec, None, 2).unwrap();
     let json = Json::parse(&report.to_json().to_string()).unwrap();
     let mut foreign = spec.clone();
     foreign.seed = 9999;
@@ -101,7 +110,7 @@ fn resume_rejects_reports_from_a_different_campaign() {
 #[test]
 fn resuming_under_the_same_budget_is_idempotent() {
     let spec = search_spec(70);
-    let report = run_search(&spec, 2).unwrap();
+    let report = run_search_resumed(&spec, None, 2).unwrap();
     let json = Json::parse(&report.to_json().to_string()).unwrap();
     let resumed = run_search_resumed(&spec, Some(&json), 2)
         .unwrap()
@@ -112,7 +121,7 @@ fn resuming_under_the_same_budget_is_idempotent() {
 
 #[test]
 fn search_finds_and_minimizes_the_boundary_violation() {
-    let report = run_search(&search_spec(70), 4).unwrap();
+    let report = run_search_resumed(&search_spec(70), None, 4).unwrap();
     assert_eq!(report.cells().len(), 2);
     let feasible = &report.cells()[0];
     assert_eq!((feasible.f, feasible.feasible), (1, true));
@@ -164,10 +173,16 @@ fn async_search_spec(budget: usize) -> CampaignSpec {
 #[test]
 fn async_cells_search_deterministically_and_resume() {
     let spec = async_search_spec(60);
-    let baseline = run_search(&spec, 1).unwrap().to_json().to_string();
+    let baseline = run_search_resumed(&spec, None, 1)
+        .unwrap()
+        .to_json()
+        .to_string();
     for workers in [2, 8] {
         assert_eq!(
-            run_search(&spec, workers).unwrap().to_json().to_string(),
+            run_search_resumed(&spec, None, workers)
+                .unwrap()
+                .to_json()
+                .to_string(),
             baseline,
             "async search report differs at {workers} workers"
         );
@@ -186,7 +201,7 @@ fn async_cells_search_deterministically_and_resume() {
 
 #[test]
 fn async_search_finds_the_sub_threshold_violation_and_replays_it() {
-    let report = run_search(&async_search_spec(60), 4).unwrap();
+    let report = run_search_resumed(&async_search_spec(60), None, 4).unwrap();
     assert_eq!(report.cells().len(), 1);
     let cell = &report.cells()[0];
     assert!(!cell.feasible, "the cycle is below the async threshold");
@@ -237,7 +252,7 @@ fn regime_axis_entries_differing_only_in_seed_are_distinct_cells() {
         mutations: 2,
         rounds: 0,
     });
-    let report = run_search(&spec, 2).unwrap();
+    let report = run_search_resumed(&spec, None, 2).unwrap();
     assert_eq!(
         report.cells().len(),
         2,

@@ -12,7 +12,7 @@
 
 use lbc_adversary::Strategy;
 use lbc_campaign::{
-    run_serve, CampaignSpec, GraphFamily, InputPolicy, RegimeSpec, ServeLaneSpec, ServeSpec,
+    run_serve_opts, CampaignSpec, GraphFamily, InputPolicy, RegimeSpec, ServeLaneSpec, ServeSpec,
     StrategySpec,
 };
 use lbc_consensus::{runner, AlgorithmKind};
@@ -87,9 +87,12 @@ fn serve_report_is_byte_identical_across_worker_counts() {
         ],
     );
 
-    let canonical = run_serve(&spec, 1).expect("serve").to_json().to_string();
+    let canonical = run_serve_opts(&spec, 1, None)
+        .expect("serve")
+        .to_json()
+        .to_string();
     for workers in [2, 8] {
-        let report = run_serve(&spec, workers).expect("serve");
+        let report = run_serve_opts(&spec, workers, None).expect("serve");
         assert!(report.all_correct(), "workers={workers} not all-correct");
         assert_eq!(
             report.to_json().to_string(),
@@ -142,7 +145,7 @@ fn chain_channel_occupancy_stays_bounded_over_500_instances() {
 fn psync_serve_lane_decides_like_500_one_shot_runs() {
     let lane = psync_lane();
     let spec = serve_spec("serve-psync", 97, 500, vec![lane.clone()]);
-    let report = run_serve(&spec, 2).expect("serve");
+    let report = run_serve_opts(&spec, 2, None).expect("serve");
     let records = &report.lanes()[0].instances;
     assert_eq!(records.len(), 500);
 

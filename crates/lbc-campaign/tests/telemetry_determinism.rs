@@ -16,7 +16,7 @@ use proptest::prelude::*;
 
 use lbc_campaign::spec::{FRange, RegimeSpec};
 use lbc_campaign::{
-    diff_report_texts, replay_scenario, run_campaign, run_campaign_opts, run_scenarios_resumable,
+    diff_report_texts, replay_scenario, run_campaign, run_scenarios_resumable, CampaignReport,
     CampaignSpec, ExecOptions, FaultPolicy, GraphFamily, InputPolicy, SizeSpec, StrategySpec,
     SweepSpec,
 };
@@ -79,22 +79,22 @@ fn opts(workers: usize, telemetry: bool) -> ExecOptions {
     }
 }
 
+/// Expands `spec` and runs it under `options`, as `lbc campaign` does.
+fn run_with(spec: &CampaignSpec, options: &ExecOptions) -> CampaignReport {
+    let (scenarios, notes) = spec.expand_noted().unwrap();
+    run_scenarios_resumable(spec, &scenarios, notes, options).unwrap()
+}
+
 #[test]
 fn telemetry_report_is_byte_identical_across_worker_counts() {
     let spec = telemetry_spec(2026);
-    let baseline = run_campaign_opts(&spec, &opts(1, true))
-        .unwrap()
-        .to_json()
-        .to_string();
+    let baseline = run_with(&spec, &opts(1, true)).to_json().to_string();
     assert!(
         baseline.contains("\"telemetry\""),
         "enabled run must embed the telemetry section"
     );
     for workers in [2, 8] {
-        let report = run_campaign_opts(&spec, &opts(workers, true))
-            .unwrap()
-            .to_json()
-            .to_string();
+        let report = run_with(&spec, &opts(workers, true)).to_json().to_string();
         assert_eq!(
             report, baseline,
             "telemetry-bearing report differs at {workers} workers"
@@ -110,13 +110,11 @@ fn telemetry_csv_is_deterministic_except_wall_column() {
             .map(|line| line.rsplit_once(',').unwrap().0.to_string())
             .collect()
     };
-    let csv1 = run_campaign_opts(&spec, &opts(1, true))
-        .unwrap()
+    let csv1 = run_with(&spec, &opts(1, true))
         .telemetry()
         .unwrap()
         .to_csv();
-    let csv8 = run_campaign_opts(&spec, &opts(8, true))
-        .unwrap()
+    let csv8 = run_with(&spec, &opts(8, true))
         .telemetry()
         .unwrap()
         .to_csv();
@@ -147,16 +145,7 @@ fn disabled_observer_reports_match_the_plain_paths() {
     let spec = telemetry_spec(7);
     let plain = run_campaign(&spec, 2).unwrap().to_json().to_string();
     assert!(!plain.contains("\"telemetry\""));
-    let via_opts = run_campaign_opts(&spec, &opts(2, false))
-        .unwrap()
-        .to_json()
-        .to_string();
-    assert_eq!(plain, via_opts);
-    let (scenarios, notes) = spec.expand_noted().unwrap();
-    let expanded = run_scenarios_resumable(&spec, &scenarios, notes, &opts(2, false))
-        .unwrap()
-        .to_json()
-        .to_string();
+    let expanded = run_with(&spec, &opts(2, false)).to_json().to_string();
     assert_eq!(plain, expanded);
 }
 
@@ -167,7 +156,7 @@ fn disabled_observer_reports_match_the_plain_paths() {
 fn telemetry_section_is_purely_additive() {
     let spec = telemetry_spec(11);
     let plain = run_campaign(&spec, 2).unwrap().to_json().to_string();
-    let observed = run_campaign_opts(&spec, &opts(2, true)).unwrap().to_json();
+    let observed = run_with(&spec, &opts(2, true)).to_json();
     let Json::Obj(fields) = observed else {
         panic!("report JSON must be an object");
     };

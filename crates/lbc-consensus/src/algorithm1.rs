@@ -19,14 +19,16 @@ use crate::phased::{PhasedNode, StepCCase};
 /// # Example
 ///
 /// ```
-/// use lbc_consensus::{runner, Algorithm1Node};
+/// use lbc_consensus::{runner, AlgorithmKind};
 /// use lbc_graph::generators;
-/// use lbc_model::{InputAssignment, NodeSet};
+/// use lbc_model::{InputAssignment, NodeSet, Regime};
 /// use lbc_sim::HonestAdversary;
 ///
 /// let graph = generators::paper_fig1a(); // the 5-cycle, f = 1
 /// let inputs = InputAssignment::from_bits(5, 0b00110);
-/// let (outcome, _) = runner::run_algorithm1(
+/// let (outcome, _) = runner::run_kind_under(
+///     AlgorithmKind::Algorithm1,
+///     &Regime::Synchronous,
 ///     &graph,
 ///     1,
 ///     &inputs,

@@ -73,15 +73,17 @@ pub(crate) enum Role {
 /// # Example
 ///
 /// ```
-/// use lbc_consensus::{conditions, runner};
+/// use lbc_consensus::{conditions, runner, AlgorithmKind};
 /// use lbc_graph::generators;
-/// use lbc_model::{InputAssignment, NodeSet};
+/// use lbc_model::{InputAssignment, NodeSet, Regime};
 /// use lbc_sim::HonestAdversary;
 ///
 /// let graph = generators::paper_fig1a(); // 2-connected, so f = 1 works
 /// assert!(conditions::efficient_algorithm_applicable(&graph, 1));
 /// let inputs = InputAssignment::from_bits(5, 0b10010);
-/// let (outcome, trace) = runner::run_algorithm2(
+/// let (outcome, trace) = runner::run_kind_under(
+///     AlgorithmKind::Algorithm2,
+///     &Regime::Synchronous,
 ///     &graph,
 ///     1,
 ///     &inputs,

@@ -67,7 +67,7 @@ use crate::messages::FloodMsg;
 /// # Example
 ///
 /// ```
-/// use lbc_consensus::{conditions, runner};
+/// use lbc_consensus::{conditions, runner, AlgorithmKind};
 /// use lbc_graph::generators;
 /// use lbc_model::{AsyncRegime, InputAssignment, NodeSet, Regime, SchedulerKind};
 /// use lbc_sim::HonestAdversary;
@@ -80,12 +80,13 @@ use crate::messages::FloodMsg;
 ///     delay: 3,
 ///     seed: 7,
 /// });
-/// let (outcome, _) = runner::run_async_flood(
+/// let (outcome, _) = runner::run_kind_under(
+///     AlgorithmKind::AsyncFlood,
+///     &regime,
 ///     &graph,
 ///     1,
 ///     &inputs,
 ///     &NodeSet::new(),
-///     &regime,
 ///     &mut HonestAdversary,
 /// );
 /// assert!(outcome.verdict().is_correct());

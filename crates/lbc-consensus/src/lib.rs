@@ -38,7 +38,7 @@
 //! ```
 //! use lbc_consensus::{conditions, runner, AlgorithmKind};
 //! use lbc_graph::generators;
-//! use lbc_model::{InputAssignment, NodeSet, Value};
+//! use lbc_model::{InputAssignment, NodeSet, Regime};
 //! use lbc_sim::HonestAdversary;
 //!
 //! // Figure 1(a): the 5-cycle tolerates f = 1 under local broadcast.
@@ -47,8 +47,9 @@
 //!
 //! let inputs = InputAssignment::from_bits(5, 0b01101);
 //! let faulty = NodeSet::new();
-//! let (outcome, _trace) = runner::run_kind(
+//! let (outcome, _trace) = runner::run_kind_under(
 //!     AlgorithmKind::Algorithm1,
+//!     &Regime::Synchronous,
 //!     &graph,
 //!     1,
 //!     &inputs,

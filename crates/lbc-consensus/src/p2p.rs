@@ -76,14 +76,16 @@ impl MessageView for P2pMessage {
 /// # Example
 ///
 /// ```
-/// use lbc_consensus::runner;
+/// use lbc_consensus::{runner, AlgorithmKind};
 /// use lbc_graph::generators;
-/// use lbc_model::{InputAssignment, NodeSet};
+/// use lbc_model::{InputAssignment, NodeSet, Regime};
 /// use lbc_sim::HonestAdversary;
 ///
 /// let graph = generators::complete(4); // n = 3f + 1 for f = 1
 /// let inputs = InputAssignment::from_bits(4, 0b0110);
-/// let (outcome, _) = runner::run_p2p_baseline(
+/// let (outcome, _) = runner::run_kind_under(
+///     AlgorithmKind::P2pBaseline,
+///     &Regime::Synchronous,
 ///     &graph,
 ///     1,
 ///     &inputs,

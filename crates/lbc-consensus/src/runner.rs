@@ -84,8 +84,8 @@ impl AlgorithmKind {
 const ROUND_MARGIN: usize = 2;
 
 /// One algorithm's row in the runner's table: the communication model it
-/// runs under, its step budget, and its node constructor. The one-shot
-/// entry points and [`run_chain_under`] all read their parameters here.
+/// runs under, its step budget, and its node constructor.
+/// [`run_kind_observed`] and [`run_chain_under`] read their parameters here.
 trait Algorithm: Protocol + Sized {
     /// The communication model the algorithm runs under.
     fn model() -> CommModel {
@@ -196,82 +196,10 @@ where
     (outcome, report.trace)
 }
 
-/// Runs **Algorithm 1** under the local broadcast model.
-pub fn run_algorithm1<A>(
-    graph: &Graph,
-    f: usize,
-    inputs: &InputAssignment,
-    faulty: &NodeSet,
-    adversary: &mut A,
-) -> (ConsensusOutcome, Trace)
-where
-    A: Adversary<FloodMsg>,
-{
-    run_one::<Algorithm1Node, A>(
-        &Regime::Synchronous,
-        graph,
-        f,
-        inputs,
-        faulty,
-        adversary,
-        ObserverHandle::disabled(),
-    )
-}
-
-/// Runs **Algorithm 2** (the efficient `O(n)`-round algorithm) under the
-/// local broadcast model.
-pub fn run_algorithm2<A>(
-    graph: &Graph,
-    f: usize,
-    inputs: &InputAssignment,
-    faulty: &NodeSet,
-    adversary: &mut A,
-) -> (ConsensusOutcome, Trace)
-where
-    A: Adversary<Alg2Message>,
-{
-    run_one::<Algorithm2Node, A>(
-        &Regime::Synchronous,
-        graph,
-        f,
-        inputs,
-        faulty,
-        adversary,
-        ObserverHandle::disabled(),
-    )
-}
-
-/// Runs any algorithm selected by `kind` — the two local-broadcast
-/// algorithms or the point-to-point baseline — with a caller-constructed
-/// (and, for randomized strategies, pre-seeded) adversary.
-///
-/// This is the single entry point the campaign executor dispatches through:
-/// one `(kind, graph, f, inputs, faulty)` scenario plus one adversary in,
-/// one judged outcome and trace out.
-pub fn run_kind<A>(
-    kind: AlgorithmKind,
-    graph: &Graph,
-    f: usize,
-    inputs: &InputAssignment,
-    faulty: &NodeSet,
-    adversary: &mut A,
-) -> (ConsensusOutcome, Trace)
-where
-    A: Adversary<FloodMsg> + Adversary<Alg2Message> + Adversary<P2pMessage>,
-{
-    run_kind_under(
-        kind,
-        &Regime::Synchronous,
-        graph,
-        f,
-        inputs,
-        faulty,
-        adversary,
-    )
-}
-
-/// Runs any algorithm under an explicit execution [`Regime`] — the entry
-/// point regime-axis campaign cells dispatch through.
+/// Runs one execution of the algorithm selected by `kind` under `regime`
+/// with a caller-constructed (and, for randomized strategies, pre-seeded)
+/// adversary, and judges it: the one-shot entry point the CLI, the
+/// campaign executor and the search engine dispatch through.
 ///
 /// # Panics
 ///
@@ -344,33 +272,11 @@ fn assert_supported(kind: AlgorithmKind, regime: &Regime) {
     );
 }
 
-/// Runs the **asynchronous** local-broadcast algorithm under `regime`
-/// (which may also be [`Regime::Synchronous`] — the algorithm is
-/// regime-generic and the cross-scheduler equivalence tests rely on that).
-pub fn run_async_flood<A>(
-    graph: &Graph,
-    f: usize,
-    inputs: &InputAssignment,
-    faulty: &NodeSet,
-    regime: &Regime,
-    adversary: &mut A,
-) -> (ConsensusOutcome, Trace)
-where
-    A: Adversary<FloodMsg>,
-{
-    run_one::<AsyncFloodNode, A>(
-        regime,
-        graph,
-        f,
-        inputs,
-        faulty,
-        adversary,
-        ObserverHandle::disabled(),
-    )
-}
-
 /// Runs **Algorithm 3** under the hybrid model with the given set of
 /// equivocating faulty nodes (`equivocators ⊆ faulty`, `|equivocators| ≤ t`).
+///
+/// Algorithm 3 has its own entry point because it needs `t` and the
+/// equivocator set, which [`AlgorithmKind`] does not carry.
 #[allow(clippy::too_many_arguments)]
 pub fn run_algorithm3<A>(
     graph: &Graph,
@@ -397,35 +303,13 @@ where
         equivocators: equivocators.clone(),
     };
     let mut network = Network::new(graph.clone(), model, faulty.clone(), nodes).with_fault_bound(f);
-    let report = network.run(
+    let report = network.run_under(
+        &Regime::Synchronous,
         adversary,
         Algorithm3Node::round_count(n, f, t) * ROUND_MARGIN + 2,
     );
     let outcome = judge(graph, inputs.clone(), faulty, &report.outputs);
     (outcome, report.trace)
-}
-
-/// Runs the **point-to-point baseline** (king agreement over Dolev-style
-/// relay) under the point-to-point model.
-pub fn run_p2p_baseline<A>(
-    graph: &Graph,
-    f: usize,
-    inputs: &InputAssignment,
-    faulty: &NodeSet,
-    adversary: &mut A,
-) -> (ConsensusOutcome, Trace)
-where
-    A: Adversary<P2pMessage>,
-{
-    run_one::<P2pBaselineNode, A>(
-        &Regime::Synchronous,
-        graph,
-        f,
-        inputs,
-        faulty,
-        adversary,
-        ObserverHandle::disabled(),
-    )
 }
 
 /// Per-instance judged result of a chained repeated-consensus run
@@ -530,42 +414,6 @@ where
     (results, stats)
 }
 
-/// Convenience: run one algorithm over *every* input assignment where the
-/// non-faulty inputs are not unanimous-by-construction is unnecessary; this
-/// helper simply enumerates all `2^n` assignments for small `n` and returns
-/// the first failing outcome, if any.
-///
-/// Used by tests and experiments to exhaustively check small configurations.
-pub fn exhaustive_inputs_check<F>(
-    n: usize,
-    mut run: F,
-) -> Option<(InputAssignment, ConsensusOutcome)>
-where
-    F: FnMut(&InputAssignment) -> ConsensusOutcome,
-{
-    assert!(n <= 16, "exhaustive input enumeration limited to 16 nodes");
-    for bits in 0..(1u64 << n) {
-        let inputs = InputAssignment::from_bits(n, bits);
-        let outcome = run(&inputs);
-        if !outcome.verdict().is_correct() {
-            return Some((inputs, outcome));
-        }
-    }
-    None
-}
-
-/// Helper used by experiments: the majority input value of the non-faulty
-/// nodes (ties to zero), handy as a reference point when eyeballing outcomes.
-#[must_use]
-pub fn honest_majority(inputs: &InputAssignment, faulty: &NodeSet) -> Option<Value> {
-    Value::majority(
-        inputs
-            .iter()
-            .filter(|(node, _)| !faulty.contains(*node))
-            .map(|(_, value)| value),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -573,24 +421,21 @@ mod tests {
     use lbc_model::NodeId;
     use lbc_sim::HonestAdversary;
 
-    #[test]
-    fn algorithm1_fault_free_on_the_5_cycle() {
-        let graph = generators::paper_fig1a();
-        let inputs = InputAssignment::from_bits(5, 0b00110);
-        let (outcome, trace) =
-            run_algorithm1(&graph, 1, &inputs, &NodeSet::new(), &mut HonestAdversary);
-        assert!(outcome.verdict().is_correct(), "{outcome}");
-        assert_eq!(trace.rounds(), Algorithm1Node::round_count(5, 1));
-    }
-
-    #[test]
-    fn algorithm2_fault_free_on_the_5_cycle() {
-        let graph = generators::paper_fig1a();
-        let inputs = InputAssignment::from_bits(5, 0b01011);
-        let (outcome, trace) =
-            run_algorithm2(&graph, 1, &inputs, &NodeSet::new(), &mut HonestAdversary);
-        assert!(outcome.verdict().is_correct(), "{outcome}");
-        assert!(trace.rounds() <= Algorithm2Node::round_count(5));
+    /// A fault-free synchronous one-shot run.
+    fn run_fault_free(
+        kind: AlgorithmKind,
+        graph: &Graph,
+        inputs: &InputAssignment,
+    ) -> (ConsensusOutcome, Trace) {
+        run_kind_under(
+            kind,
+            &Regime::Synchronous,
+            graph,
+            1,
+            inputs,
+            &NodeSet::new(),
+            &mut HonestAdversary,
+        )
     }
 
     #[test]
@@ -610,15 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn p2p_baseline_fault_free_on_k4() {
-        let graph = generators::complete(4);
-        let inputs = InputAssignment::from_bits(4, 0b0101);
-        let (outcome, _) =
-            run_p2p_baseline(&graph, 1, &inputs, &NodeSet::new(), &mut HonestAdversary);
-        assert!(outcome.verdict().is_correct(), "{outcome}");
-    }
-
-    #[test]
     fn algorithm_kind_names_roundtrip() {
         for kind in AlgorithmKind::all() {
             assert_eq!(AlgorithmKind::from_name(kind.name()), Some(kind));
@@ -629,26 +465,24 @@ mod tests {
     #[test]
     fn run_kind_dispatches_every_algorithm() {
         let graph = generators::complete(4);
-        let inputs = InputAssignment::from_bits(4, 0b0110);
-        for kind in AlgorithmKind::all() {
-            let (outcome, _) = run_kind(
-                kind,
-                &graph,
-                1,
-                &inputs,
-                &NodeSet::new(),
-                &mut HonestAdversary,
-            );
-            assert!(outcome.verdict().is_correct(), "{}: {outcome}", kind.name());
+        for bits in [0b0110, 0b0101] {
+            let inputs = InputAssignment::from_bits(4, bits);
+            for kind in AlgorithmKind::all() {
+                let (outcome, _) = run_fault_free(kind, &graph, &inputs);
+                assert!(outcome.verdict().is_correct(), "{}: {outcome}", kind.name());
+            }
         }
-    }
-
-    #[test]
-    fn honest_majority_ignores_faulty_inputs() {
-        let inputs = InputAssignment::from_bits(4, 0b1110);
-        let faulty = NodeSet::singleton(NodeId::new(3));
-        assert_eq!(honest_majority(&inputs, &faulty), Some(Value::One));
-        assert_eq!(honest_majority(&inputs, &NodeSet::new()), Some(Value::One));
+        // The two local-broadcast round machines keep their round counts on
+        // the 5-cycle: Algorithm 1 runs every phase, Algorithm 2 at most 3n.
+        let cycle = generators::paper_fig1a();
+        let inputs = InputAssignment::from_bits(5, 0b00110);
+        let (outcome, trace) = run_fault_free(AlgorithmKind::Algorithm1, &cycle, &inputs);
+        assert!(outcome.verdict().is_correct(), "{outcome}");
+        assert_eq!(trace.rounds(), Algorithm1Node::round_count(5, 1));
+        let inputs = InputAssignment::from_bits(5, 0b01011);
+        let (outcome, trace) = run_fault_free(AlgorithmKind::Algorithm2, &cycle, &inputs);
+        assert!(outcome.verdict().is_correct(), "{outcome}");
+        assert!(trace.rounds() <= Algorithm2Node::round_count(5));
     }
 
     #[test]
@@ -715,30 +549,31 @@ mod tests {
     fn chain_of_one_judges_like_the_one_shot_runner() {
         let graph = generators::paper_fig1a();
         let inputs = InputAssignment::from_bits(5, 0b01011);
-        let (one_shot, _) =
-            run_algorithm2(&graph, 1, &inputs, &NodeSet::new(), &mut HonestAdversary);
-        let (results, _) = run_chain_under(
-            AlgorithmKind::Algorithm2,
-            &Regime::Synchronous,
-            &graph,
-            1,
-            &NodeSet::new(),
-            1,
-            |_| inputs.clone(),
-            &mut HonestAdversary,
-        );
-        assert_eq!(results.len(), 1);
-        assert_eq!(format!("{}", results[0].outcome), format!("{one_shot}"));
-    }
-
-    #[test]
-    fn exhaustive_check_passes_for_a_correct_runner() {
-        let graph = generators::complete(3);
-        let result = exhaustive_inputs_check(3, |inputs| {
-            let (outcome, _) =
-                run_algorithm2(&graph, 0, inputs, &NodeSet::new(), &mut HonestAdversary);
-            outcome
-        });
-        assert!(result.is_none());
+        for kind in AlgorithmKind::all() {
+            let (one_shot, trace) = run_fault_free(kind, &graph, &inputs);
+            let (results, _) = run_chain_under(
+                kind,
+                &Regime::Synchronous,
+                &graph,
+                1,
+                &NodeSet::new(),
+                1,
+                |_| inputs.clone(),
+                &mut HonestAdversary,
+            );
+            assert_eq!(results.len(), 1, "{}", kind.name());
+            assert_eq!(
+                format!("{}", results[0].outcome),
+                format!("{one_shot}"),
+                "{}",
+                kind.name()
+            );
+            assert_eq!(
+                results[0].transmissions,
+                trace.total_transmissions(),
+                "{}",
+                kind.name()
+            );
+        }
     }
 }

@@ -2,9 +2,10 @@
 //! under fault placements and adversary strategies.
 
 use lbc_adversary::Strategy;
-use lbc_consensus::{conditions, runner};
+use lbc_consensus::{conditions, runner, AlgorithmKind};
 use lbc_graph::{generators, Graph};
-use lbc_model::{InputAssignment, NodeId, NodeSet};
+use lbc_model::{ConsensusOutcome, InputAssignment, NodeId, NodeSet, Regime};
+use lbc_sim::Trace;
 
 fn n(i: usize) -> NodeId {
     NodeId::new(i)
@@ -24,26 +25,34 @@ fn input_battery(nodes: usize) -> Vec<InputAssignment> {
     patterns
 }
 
-fn check_algorithm1(graph: &Graph, f: usize, faulty: &NodeSet, strategy: &Strategy) {
-    for inputs in input_battery(graph.node_count()) {
-        let mut adversary = strategy.clone().into_adversary();
-        let (outcome, _) = runner::run_algorithm1(graph, f, &inputs, faulty, &mut adversary);
-        assert!(
-            outcome.verdict().is_correct(),
-            "Algorithm 1 failed: graph n={}, f={f}, faulty={faulty}, strategy={}, inputs={inputs}: {outcome}",
-            graph.node_count(),
-            strategy.name(),
-        );
-    }
+/// A synchronous one-shot run of `kind` against `strategy`.
+fn run(
+    kind: AlgorithmKind,
+    graph: &Graph,
+    f: usize,
+    inputs: &InputAssignment,
+    faulty: &NodeSet,
+    strategy: &Strategy,
+) -> (ConsensusOutcome, Trace) {
+    let mut adversary = strategy.clone().into_adversary();
+    runner::run_kind_under(
+        kind,
+        &Regime::Synchronous,
+        graph,
+        f,
+        inputs,
+        faulty,
+        &mut adversary,
+    )
 }
 
-fn check_algorithm2(graph: &Graph, f: usize, faulty: &NodeSet, strategy: &Strategy) {
+fn check(kind: AlgorithmKind, graph: &Graph, f: usize, faulty: &NodeSet, strategy: &Strategy) {
     for inputs in input_battery(graph.node_count()) {
-        let mut adversary = strategy.clone().into_adversary();
-        let (outcome, _) = runner::run_algorithm2(graph, f, &inputs, faulty, &mut adversary);
+        let (outcome, _) = run(kind, graph, f, &inputs, faulty, strategy);
         assert!(
             outcome.verdict().is_correct(),
-            "Algorithm 2 failed: graph n={}, f={f}, faulty={faulty}, strategy={}, inputs={inputs}: {outcome}",
+            "{} failed: graph n={}, f={f}, faulty={faulty}, strategy={}, inputs={inputs}: {outcome}",
+            kind.name(),
             graph.node_count(),
             strategy.name(),
         );
@@ -59,7 +68,7 @@ fn algorithm1_on_the_5_cycle_tolerates_one_fault() {
     for faulty_node in 0..5 {
         let faulty = NodeSet::singleton(n(faulty_node));
         for strategy in Strategy::all(42) {
-            check_algorithm1(&graph, 1, &faulty, &strategy);
+            check(AlgorithmKind::Algorithm1, &graph, 1, &faulty, &strategy);
         }
     }
 }
@@ -81,7 +90,7 @@ fn algorithm1_on_k5_tolerates_two_faults() {
         for b in (a + 1)..5 {
             let faulty: NodeSet = [n(a), n(b)].into_iter().collect();
             for strategy in &strategies {
-                check_algorithm1(&graph, 2, &faulty, strategy);
+                check(AlgorithmKind::Algorithm1, &graph, 2, &faulty, strategy);
             }
         }
     }
@@ -108,7 +117,7 @@ fn algorithm2_on_the_5_cycle_tolerates_one_commission_fault() {
     for faulty_node in 0..5 {
         let faulty = NodeSet::singleton(n(faulty_node));
         for strategy in &strategies {
-            check_algorithm2(&graph, 1, &faulty, strategy);
+            check(AlgorithmKind::Algorithm2, &graph, 1, &faulty, strategy);
         }
     }
 }
@@ -133,8 +142,14 @@ fn algorithm2_omission_gap_reproduction_finding() {
     let inputs = InputAssignment::from_bits(5, 0b10101);
     let faulty = NodeSet::singleton(n(0));
 
-    let mut adversary = Strategy::Silent.into_adversary();
-    let (outcome, _) = runner::run_algorithm2(&graph, 1, &inputs, &faulty, &mut adversary);
+    let (outcome, _) = run(
+        AlgorithmKind::Algorithm2,
+        &graph,
+        1,
+        &inputs,
+        &faulty,
+        &Strategy::Silent,
+    );
     let verdict = outcome.verdict();
     assert!(
         !verdict.agreement,
@@ -145,8 +160,14 @@ fn algorithm2_omission_gap_reproduction_finding() {
     assert!(verdict.validity && verdict.termination);
 
     // Algorithm 1 is immune: same graph, same inputs, same adversary.
-    let mut adversary = Strategy::Silent.into_adversary();
-    let (outcome, _) = runner::run_algorithm1(&graph, 1, &inputs, &faulty, &mut adversary);
+    let (outcome, _) = run(
+        AlgorithmKind::Algorithm1,
+        &graph,
+        1,
+        &inputs,
+        &faulty,
+        &Strategy::Silent,
+    );
     assert!(outcome.verdict().is_correct(), "{outcome}");
 }
 
@@ -164,7 +185,7 @@ fn algorithm2_on_k5_tolerates_two_faults() {
         for b in (a + 1)..5 {
             let faulty: NodeSet = [n(a), n(b)].into_iter().collect();
             for strategy in &strategies {
-                check_algorithm2(&graph, 2, &faulty, strategy);
+                check(AlgorithmKind::Algorithm2, &graph, 2, &faulty, strategy);
             }
         }
     }
@@ -177,10 +198,23 @@ fn algorithm2_uses_linearly_many_rounds() {
     let graph = generators::paper_fig1a();
     let inputs = InputAssignment::from_bits(5, 0b01010);
     let faulty = NodeSet::singleton(n(1));
-    let mut adversary = Strategy::TamperRelays.into_adversary();
-    let (_, trace1) = runner::run_algorithm1(&graph, 1, &inputs, &faulty, &mut adversary);
-    let mut adversary = Strategy::TamperRelays.into_adversary();
-    let (_, trace2) = runner::run_algorithm2(&graph, 1, &inputs, &faulty, &mut adversary);
+    let tamper = Strategy::TamperRelays;
+    let (_, trace1) = run(
+        AlgorithmKind::Algorithm1,
+        &graph,
+        1,
+        &inputs,
+        &faulty,
+        &tamper,
+    );
+    let (_, trace2) = run(
+        AlgorithmKind::Algorithm2,
+        &graph,
+        1,
+        &inputs,
+        &faulty,
+        &tamper,
+    );
     assert!(trace2.rounds() < trace1.rounds());
     assert!(trace2.rounds() <= 15);
     assert_eq!(trace1.rounds(), 30);
@@ -245,16 +279,7 @@ fn p2p_baseline_on_k4_tolerates_one_fault() {
             Strategy::Equivocate,
             Strategy::Random { seed: 5 },
         ] {
-            for inputs in input_battery(4) {
-                let mut adversary = strategy.clone().into_adversary();
-                let (outcome, _) =
-                    runner::run_p2p_baseline(&graph, 1, &inputs, &faulty, &mut adversary);
-                assert!(
-                    outcome.verdict().is_correct(),
-                    "p2p baseline failed: faulty={faulty}, strategy={}, inputs={inputs}: {outcome}",
-                    strategy.name(),
-                );
-            }
+            check(AlgorithmKind::P2pBaseline, &graph, 1, &faulty, &strategy);
         }
     }
 }

@@ -17,7 +17,7 @@
 //! tests compare the query accessors value by value.
 
 use lbc_consensus::flooding::{LedgerFlooder, NaiveFloodMsg, NaiveFlooder};
-use lbc_consensus::{conditions, runner, FloodMsg};
+use lbc_consensus::{conditions, runner, AlgorithmKind, FloodMsg};
 use lbc_graph::{generators, Graph};
 use lbc_model::{
     AsyncRegime, InputAssignment, NodeId, NodeSet, Path, Regime, SchedulerKind, SharedFloodLedger,
@@ -636,8 +636,15 @@ fn assert_schedule_invariant(
     let mut reference: Option<Vec<Option<Value>>> = None;
     for regime in schedule_grid() {
         let mut adversary = strategy.clone().into_adversary();
-        let (outcome, _) =
-            runner::run_async_flood(graph, f, inputs, faulty, &regime, &mut adversary);
+        let (outcome, _) = runner::run_kind_under(
+            AlgorithmKind::AsyncFlood,
+            &regime,
+            graph,
+            f,
+            inputs,
+            faulty,
+            &mut adversary,
+        );
         let outputs: Vec<Option<Value>> = graph.nodes().map(|v| outcome.output_of(v)).collect();
         match &reference {
             None => reference = Some(outputs),

@@ -7,9 +7,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use lbc_adversary::Strategy;
-use lbc_consensus::{conditions, runner};
+use lbc_consensus::{conditions, runner, AlgorithmKind};
 use lbc_graph::{generators, Graph};
-use lbc_model::{InputAssignment, NodeId, NodeSet};
+use lbc_model::{InputAssignment, NodeId, NodeSet, Regime};
 
 /// A random graph satisfying the paper's f = 1 conditions (minimum degree 2,
 /// 2-connected), on 5–8 nodes.
@@ -43,7 +43,15 @@ proptest! {
         let inputs = InputAssignment::from_bits(n, bits);
         let strategy = strategy_from_index(strategy_index);
         let mut adversary = strategy.clone().into_adversary();
-        let (outcome, _) = runner::run_algorithm1(&graph, 1, &inputs, &faulty, &mut adversary);
+        let (outcome, _) = runner::run_kind_under(
+            AlgorithmKind::Algorithm1,
+            &Regime::Synchronous,
+            &graph,
+            1,
+            &inputs,
+            &faulty,
+            &mut adversary,
+        );
         prop_assert!(
             outcome.verdict().is_correct(),
             "n={n} seed={seed} faulty={faulty} strategy={} inputs={inputs}: {outcome}",
@@ -71,7 +79,15 @@ proptest! {
         inputs.set(NodeId::new(faulty_index % n), value.flipped());
         let strategy = strategy_from_index(strategy_index);
         let mut adversary = strategy.into_adversary();
-        let (outcome, _) = runner::run_algorithm1(&graph, 1, &inputs, &faulty, &mut adversary);
+        let (outcome, _) = runner::run_kind_under(
+            AlgorithmKind::Algorithm1,
+            &Regime::Synchronous,
+            &graph,
+            1,
+            &inputs,
+            &faulty,
+            &mut adversary,
+        );
         prop_assert!(outcome.verdict().is_correct(), "{outcome}");
         prop_assert_eq!(outcome.agreed_value(), Some(value));
     }

@@ -1,10 +1,10 @@
 //! The experiment implementations (E1–E8).
 
 use lbc_adversary::Strategy;
-use lbc_consensus::{conditions, runner, Algorithm1Node, Algorithm2Node};
+use lbc_consensus::{conditions, runner, Algorithm1Node, Algorithm2Node, AlgorithmKind};
 use lbc_graph::{connectivity, generators, Graph};
 use lbc_lowerbound::{connectivity_construction, degree_construction};
-use lbc_model::{CommModel, InputAssignment, NodeId, NodeSet};
+use lbc_model::{CommModel, InputAssignment, NodeId, NodeSet, Regime};
 use lbc_sim::Network;
 
 use crate::result::ExperimentResult;
@@ -46,32 +46,36 @@ pub fn e1_fig1a_cycle() -> ExperimentResult {
         Strategy::TamperRelays,
         Strategy::Equivocate,
     ];
+    let inputs = InputAssignment::from_bits(5, 0b01101);
     for faulty_node in 0..5 {
         let faulty = NodeSet::singleton(NodeId::new(faulty_node));
         for strategy in &strategies {
-            let inputs = InputAssignment::from_bits(5, 0b01101);
-            let mut adversary = strategy.clone().into_adversary();
-            let (o1, t1) = runner::run_algorithm1(&graph, 1, &inputs, &faulty, &mut adversary);
-            result.push_row([
-                faulty.to_string(),
-                strategy.name().to_string(),
-                "Algorithm 1".to_string(),
-                yes_no(o1.verdict().is_correct()).to_string(),
-                t1.rounds().to_string(),
-                t1.total_transmissions().to_string(),
-            ]);
-            // Algorithm 2 is only guaranteed against commission faults
-            // (see the Appendix C omission gap in the `Algorithm2Node` docs).
-            if *strategy != Strategy::Silent {
+            for (kind, label) in [
+                (AlgorithmKind::Algorithm1, "Algorithm 1"),
+                (AlgorithmKind::Algorithm2, "Algorithm 2"),
+            ] {
+                // Algorithm 2 is only guaranteed against commission faults
+                // (see the Appendix C omission gap in the `Algorithm2Node` docs).
+                if kind == AlgorithmKind::Algorithm2 && *strategy == Strategy::Silent {
+                    continue;
+                }
                 let mut adversary = strategy.clone().into_adversary();
-                let (o2, t2) = runner::run_algorithm2(&graph, 1, &inputs, &faulty, &mut adversary);
+                let (outcome, trace) = runner::run_kind_under(
+                    kind,
+                    &Regime::Synchronous,
+                    &graph,
+                    1,
+                    &inputs,
+                    &faulty,
+                    &mut adversary,
+                );
                 result.push_row([
                     faulty.to_string(),
                     strategy.name().to_string(),
-                    "Algorithm 2".to_string(),
-                    yes_no(o2.verdict().is_correct()).to_string(),
-                    t2.rounds().to_string(),
-                    t2.total_transmissions().to_string(),
+                    label.to_string(),
+                    yes_no(outcome.verdict().is_correct()).to_string(),
+                    trace.rounds().to_string(),
+                    trace.total_transmissions().to_string(),
                 ]);
             }
         }
@@ -110,19 +114,24 @@ pub fn e2_fig1b_f2() -> ExperimentResult {
     for (name, graph, run_consensus) in candidates {
         let n = graph.node_count();
         let feasible = conditions::local_broadcast_feasible(&graph, 2);
-        let (alg1, alg2) = if run_consensus {
+        let [alg1, alg2] = if run_consensus {
             let faulty: NodeSet = [NodeId::new(0), NodeId::new(2)].into_iter().collect();
             let inputs = InputAssignment::from_bits(n, 0b010110 & ((1 << n) - 1));
-            let mut adversary = Strategy::TamperRelays.into_adversary();
-            let (o1, _) = runner::run_algorithm1(&graph, 2, &inputs, &faulty, &mut adversary);
-            let mut adversary = Strategy::TamperRelays.into_adversary();
-            let (o2, _) = runner::run_algorithm2(&graph, 2, &inputs, &faulty, &mut adversary);
-            (
-                yes_no(o1.verdict().is_correct()).to_string(),
-                yes_no(o2.verdict().is_correct()).to_string(),
-            )
+            [AlgorithmKind::Algorithm1, AlgorithmKind::Algorithm2].map(|kind| {
+                let mut adversary = Strategy::TamperRelays.into_adversary();
+                let (outcome, _) = runner::run_kind_under(
+                    kind,
+                    &Regime::Synchronous,
+                    &graph,
+                    2,
+                    &inputs,
+                    &faulty,
+                    &mut adversary,
+                );
+                yes_no(outcome.verdict().is_correct()).to_string()
+            })
         } else {
-            ("(not run)".to_string(), "(not run)".to_string())
+            ["(not run)".to_string(), "(not run)".to_string()]
         };
         result.push_row([
             name.to_string(),
@@ -324,36 +333,36 @@ pub fn e6_round_complexity() -> ExperimentResult {
         let n = graph.node_count();
         let faulty = NodeSet::singleton(NodeId::new(1));
         let inputs = InputAssignment::from_bits(n, 0b0110101 & ((1 << n) - 1));
-        let mut adversary = Strategy::TamperRelays.into_adversary();
-        let (_, t1) = runner::run_algorithm1(&graph, f, &inputs, &faulty, &mut adversary);
-        result.push_row([
-            name.to_string(),
-            f.to_string(),
-            "Algorithm 1".to_string(),
-            Algorithm1Node::phase_count(n, f).to_string(),
-            t1.rounds().to_string(),
-            t1.total_transmissions().to_string(),
-        ]);
-        let mut adversary = Strategy::TamperRelays.into_adversary();
-        let (_, t2) = runner::run_algorithm2(&graph, f, &inputs, &faulty, &mut adversary);
-        result.push_row([
-            name.to_string(),
-            f.to_string(),
-            "Algorithm 2".to_string(),
-            "3".to_string(),
-            t2.rounds().to_string(),
-            t2.total_transmissions().to_string(),
-        ]);
-        if conditions::point_to_point_feasible(&graph, f) {
+        for (kind, label, phases) in [
+            (
+                AlgorithmKind::Algorithm1,
+                "Algorithm 1",
+                Algorithm1Node::phase_count(n, f),
+            ),
+            (AlgorithmKind::Algorithm2, "Algorithm 2", 3),
+            (AlgorithmKind::P2pBaseline, "p2p baseline", f + 1),
+        ] {
+            if kind == AlgorithmKind::P2pBaseline && !conditions::point_to_point_feasible(&graph, f)
+            {
+                continue;
+            }
             let mut adversary = Strategy::TamperRelays.into_adversary();
-            let (_, tp) = runner::run_p2p_baseline(&graph, f, &inputs, &faulty, &mut adversary);
+            let (_, trace) = runner::run_kind_under(
+                kind,
+                &Regime::Synchronous,
+                &graph,
+                f,
+                &inputs,
+                &faulty,
+                &mut adversary,
+            );
             result.push_row([
                 name.to_string(),
                 f.to_string(),
-                "p2p baseline".to_string(),
-                (f + 1).to_string(),
-                tp.rounds().to_string(),
-                tp.total_transmissions().to_string(),
+                label.to_string(),
+                phases.to_string(),
+                trace.rounds().to_string(),
+                trace.total_transmissions().to_string(),
             ]);
         }
     }
@@ -466,7 +475,11 @@ pub fn e8_reliable_receive() -> ExperimentResult {
             )
             .with_fault_bound(f);
             let mut adversary = strategy.clone().into_adversary();
-            let _ = network.run(&mut adversary, Algorithm2Node::round_count(n) + 2);
+            let _ = network.run_under(
+                &Regime::Synchronous,
+                &mut adversary,
+                Algorithm2Node::round_count(n) + 2,
+            );
             let mut type_a = 0usize;
             let mut correct = 0usize;
             let mut false_accusations = 0usize;

@@ -6,7 +6,9 @@
 //! the full boundary specs slow, so some tests trim a copy first; the CI
 //! smoke scripts run the complete files against the release binary.
 
-use lbc_campaign::{run_campaign, run_search, CampaignSpec, InputPolicy, SearchSpec, StrategySpec};
+use lbc_campaign::{
+    run_campaign, run_search_resumed, CampaignSpec, InputPolicy, SearchSpec, StrategySpec,
+};
 use lbc_consensus::{Algorithm1Node, Algorithm2Node, AlgorithmKind};
 
 fn committed(text: &str) -> CampaignSpec {
@@ -148,7 +150,7 @@ fn boundary_search_rediscovers_the_c13_omission_gap() {
         mutations: 4,
         rounds: 1,
     });
-    let report = run_search(&spec, 4).expect("search runs");
+    let report = run_search_resumed(&spec, None, 4).expect("search runs");
     let c13 = report
         .cells()
         .iter()

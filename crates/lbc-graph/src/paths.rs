@@ -203,19 +203,6 @@ pub fn disjoint_set_to_node_paths(
         .collect()
 }
 
-/// The maximum number of node-disjoint `Uv`-paths from `sources` to `v`
-/// excluding `exclude`, capped at `limit`.
-#[must_use]
-pub fn max_disjoint_set_to_node_paths(
-    graph: &Graph,
-    sources: &NodeSet,
-    v: NodeId,
-    exclude: &NodeSet,
-    limit: usize,
-) -> usize {
-    disjoint_set_to_node_paths(graph, sources, v, exclude, limit).len()
-}
-
 /// Collapses a path through the split graph (alternating `w_in`, `w_out`
 /// indices, optionally starting at a super source) back into graph nodes.
 fn collapse_split_path(split_path: &[usize], super_source: Option<usize>) -> Vec<NodeId> {

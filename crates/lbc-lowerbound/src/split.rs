@@ -56,11 +56,6 @@ impl SplitNodeId {
 pub struct DoubledNetwork {
     graph: Graph,
     f: usize,
-    /// The execution regime reported to the protocol instances. The doubled
-    /// engine itself always delivers in lockstep — the indistinguishability
-    /// argument of the constructions is about *views*, not timing — but
-    /// regime-aware protocols still read their fairness bound from here.
-    regime: Regime,
     nodes: Vec<SplitNodeId>,
     index: BTreeMap<SplitNodeId, usize>,
     /// `receivers[i]` lists the `𝔾`-node indices that hear node `i`'s
@@ -78,7 +73,6 @@ impl DoubledNetwork {
         DoubledNetwork {
             graph,
             f,
-            regime: Regime::Synchronous,
             nodes: Vec::new(),
             index: BTreeMap::new(),
             receivers: Vec::new(),
@@ -96,20 +90,6 @@ impl DoubledNetwork {
     #[must_use]
     pub fn f(&self) -> usize {
         self.f
-    }
-
-    /// Overrides the regime reported to protocol instances (the default is
-    /// [`Regime::Synchronous`]).
-    #[must_use]
-    pub fn with_regime(mut self, regime: Regime) -> Self {
-        self.regime = regime;
-        self
-    }
-
-    /// The regime reported to protocol instances.
-    #[must_use]
-    pub fn regime(&self) -> &Regime {
-        &self.regime
     }
 
     /// The nodes of `𝔾`, in insertion order.
@@ -198,6 +178,11 @@ impl DoubledNetwork {
         let arena = SharedPathArena::new();
         let ledger = SharedFloodLedger::new();
         let observer = lbc_sim::ObserverHandle::disabled();
+        // The doubled engine always delivers in lockstep — the
+        // indistinguishability argument of the constructions is about
+        // *views*, not timing — but regime-aware protocols still read their
+        // fairness bound from the regime they are handed.
+        let regime = Regime::Synchronous;
 
         // Start-of-execution transmissions.
         let mut pending: Vec<Vec<Outgoing<P::Message>>> = Vec::with_capacity(self.nodes.len());
@@ -206,7 +191,7 @@ impl DoubledNetwork {
                 id: self.nodes[i].original,
                 graph: &self.graph,
                 f: self.f,
-                regime: &self.regime,
+                regime: &regime,
                 step: None,
                 arena: &arena,
                 ledger: &ledger,
@@ -243,7 +228,7 @@ impl DoubledNetwork {
                     id: self.nodes[i].original,
                     graph: &self.graph,
                     f: self.f,
-                    regime: &self.regime,
+                    regime: &regime,
                     step: Some(round),
                     arena: &arena,
                     ledger: &ledger,

@@ -30,7 +30,7 @@
 //!
 //! ```
 //! use lbc_graph::generators;
-//! use lbc_model::{CommModel, NodeSet, Value};
+//! use lbc_model::{CommModel, NodeSet, Regime, Value};
 //! use lbc_sim::{honest_adversary, EchoOnce, Network};
 //!
 //! // Three nodes on a triangle, everyone floods its input once and decides it.
@@ -40,7 +40,7 @@
 //!     .map(|v| EchoOnce::new(Value::from(v.index() % 2 == 0)))
 //!     .collect();
 //! let mut network = Network::new(graph, CommModel::LocalBroadcast, NodeSet::new(), protocols);
-//! let report = network.run(&mut honest_adversary(), 10);
+//! let report = network.run_under(&Regime::Synchronous, &mut honest_adversary(), 10);
 //! assert!(report.all_non_faulty_terminated);
 //! ```
 

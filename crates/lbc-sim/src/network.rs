@@ -182,17 +182,6 @@ impl<P: Protocol> Network<P> {
         &self.nodes[node.index()]
     }
 
-    /// Runs the simulation under the **synchronous** regime for at most
-    /// `max_rounds` rounds, driving faulty nodes through `adversary`. Stops
-    /// early once every non-faulty node reports termination. Equivalent to
-    /// [`Network::run_under`] with [`Regime::Synchronous`].
-    pub fn run<A>(&mut self, adversary: &mut A, max_rounds: usize) -> RunReport
-    where
-        A: Adversary<P::Message>,
-    {
-        self.run_under(&Regime::Synchronous, adversary, max_rounds)
-    }
-
     /// Runs the simulation under `regime` for at most `max_rounds` steps,
     /// driving faulty nodes through `adversary`. Stops early once every
     /// non-faulty node reports termination.
@@ -586,7 +575,7 @@ mod tests {
         let graph = generators::cycle(4);
         let nodes = echo_nodes(&graph);
         let mut network = Network::new(graph, CommModel::LocalBroadcast, NodeSet::new(), nodes);
-        let report = network.run(&mut honest_adversary(), 10);
+        let report = network.run_under(&Regime::Synchronous, &mut honest_adversary(), 10);
         assert!(report.all_non_faulty_terminated);
         // 4 broadcasts in the start step, delivered to 2 neighbors each.
         assert_eq!(report.trace.total_transmissions(), 4);
@@ -601,7 +590,7 @@ mod tests {
         let graph = generators::complete(4);
         let nodes = echo_nodes(&graph);
         let mut network = Network::new(graph, CommModel::LocalBroadcast, NodeSet::new(), nodes);
-        let _ = network.run(&mut honest_adversary(), 10);
+        let _ = network.run_under(&Regime::Synchronous, &mut honest_adversary(), 10);
         for v in 0..4 {
             let heard = network.node(n(v)).heard();
             assert_eq!(heard.len(), 3, "node {v} should hear 3 neighbors");
@@ -729,7 +718,7 @@ mod tests {
             Probe::Listen(Listener::default()),
         ];
         let mut network = Network::new(graph, model, NodeSet::new(), nodes);
-        let _ = network.run(&mut HonestAdversary, 5);
+        let _ = network.run_under(&Regime::Synchronous, &mut HonestAdversary, 5);
         (1..3)
             .map(|i| match network.node(n(i)) {
                 Probe::Listen(l) => l.heard.clone(),
@@ -766,7 +755,7 @@ mod tests {
             Probe::Listen(Listener::default()),
         ];
         let mut network = Network::new(graph, CommModel::hybrid([n(0)]), NodeSet::new(), nodes);
-        let _ = network.run(&mut HonestAdversary, 5);
+        let _ = network.run_under(&Regime::Synchronous, &mut HonestAdversary, 5);
         let heard1 = match network.node(n(1)) {
             Probe::Listen(l) => l.heard.clone(),
             Probe::Split(_) => unreachable!(),
@@ -781,7 +770,7 @@ mod tests {
             Probe::Listen(Listener::default()),
         ];
         let mut network = Network::new(graph, CommModel::hybrid([n(2)]), NodeSet::new(), nodes);
-        let _ = network.run(&mut HonestAdversary, 5);
+        let _ = network.run_under(&Regime::Synchronous, &mut HonestAdversary, 5);
         let heard1 = match network.node(n(1)) {
             Probe::Listen(l) => l.heard.clone(),
             Probe::Split(_) => unreachable!(),
@@ -800,7 +789,7 @@ mod tests {
                            _round: Option<Round>,
                            _honest: Vec<Outgoing<Value>>,
                            _inbox: Inbox<'_, Value>| Vec::new();
-        let report = network.run(&mut silence, 5);
+        let report = network.run_under(&Regime::Synchronous, &mut silence, 5);
         assert!(report.all_non_faulty_terminated);
         // Nodes 1 and 2 hear only each other (the faulty node sent nothing).
         assert_eq!(network.node(n(1)).heard().len(), 1);
@@ -902,7 +891,7 @@ mod tests {
             let nodes = echo_nodes(&graph);
             Network::new(graph, CommModel::LocalBroadcast, NodeSet::new(), nodes)
         };
-        let sync_report = make().run(&mut honest_adversary(), 10);
+        let sync_report = make().run_under(&Regime::Synchronous, &mut honest_adversary(), 10);
         let mut network = make();
         let regime = async_regime(lbc_model::SchedulerKind::Fifo, 1, 99);
         let async_report = network.run_under(&regime, &mut honest_adversary(), 10);
@@ -1230,7 +1219,7 @@ mod tests {
             BadSender { done: false },
         ];
         let mut network = Network::new(graph, CommModel::PointToPoint, NodeSet::new(), nodes);
-        let report = network.run(&mut HonestAdversary, 5);
+        let report = network.run_under(&Regime::Synchronous, &mut HonestAdversary, 5);
         // Node 0's unicast to the non-neighbor 2 is dropped; node 1 and 2 also
         // attempted the same unicast (node 1 IS adjacent to 2, so one delivery).
         assert_eq!(report.trace.total_deliveries(), 1);

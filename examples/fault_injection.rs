@@ -24,8 +24,15 @@ fn main() {
         let faulty = NodeSet::singleton(NodeId::new(faulty_node));
         for strategy in Strategy::all(2024) {
             let mut adversary = strategy.clone().into_adversary();
-            let (outcome, trace) =
-                runner::run_algorithm1(&graph, f, &inputs, &faulty, &mut adversary);
+            let (outcome, trace) = runner::run_kind_under(
+                AlgorithmKind::Algorithm1,
+                &Regime::Synchronous,
+                &graph,
+                f,
+                &inputs,
+                &faulty,
+                &mut adversary,
+            );
             let ok = outcome.verdict().is_correct();
             all_correct &= ok;
             println!(

@@ -36,16 +36,26 @@ fn main() {
     println!("faulty node: {faulty}, strategy: tamper-relays");
     println!();
 
-    for (name, run) in [
-        ("Algorithm 1 (exponential phases)", true),
-        ("Algorithm 2 (3n rounds, 2f-connected)", false),
+    for (name, kind) in [
+        (
+            "Algorithm 1 (exponential phases)",
+            AlgorithmKind::Algorithm1,
+        ),
+        (
+            "Algorithm 2 (3n rounds, 2f-connected)",
+            AlgorithmKind::Algorithm2,
+        ),
     ] {
         let mut adversary = Strategy::TamperRelays.into_adversary();
-        let (outcome, trace) = if run {
-            runner::run_algorithm1(&graph, f, &inputs, &faulty, &mut adversary)
-        } else {
-            runner::run_algorithm2(&graph, f, &inputs, &faulty, &mut adversary)
-        };
+        let (outcome, trace) = runner::run_kind_under(
+            kind,
+            &Regime::Synchronous,
+            &graph,
+            f,
+            &inputs,
+            &faulty,
+            &mut adversary,
+        );
         println!("{name}:");
         println!("  rounds        = {}", trace.rounds());
         println!("  transmissions = {}", trace.total_transmissions());

@@ -38,7 +38,15 @@ fn main() {
         let faulty: NodeSet = [NodeId::new(0), NodeId::new(2)].into_iter().collect();
         let inputs = InputAssignment::from_bits(n, 0b011010 & ((1 << n) - 1));
         let mut adversary = Strategy::Equivocate.into_adversary();
-        let (outcome, trace) = runner::run_algorithm2(&graph, f, &inputs, &faulty, &mut adversary);
+        let (outcome, trace) = runner::run_kind_under(
+            AlgorithmKind::Algorithm2,
+            &Regime::Synchronous,
+            &graph,
+            f,
+            &inputs,
+            &faulty,
+            &mut adversary,
+        );
         println!("  inputs  = {inputs}, faulty = {faulty}");
         println!(
             "  Algorithm 2: rounds = {}, transmissions = {}, agreement on {:?}",

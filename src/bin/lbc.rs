@@ -60,9 +60,9 @@ use std::time::Instant;
 use lbc_campaign::diff::{diff_report_texts_with, DiffOptions};
 use lbc_campaign::{
     render_search_plan, replay_scenario, run_scenarios_resumable, run_search_resumed,
-    run_serve_opts, CampaignSpec, ChaosPolicy, CheckpointConfig, ExecOptions,
+    run_serve_opts, CampaignSpec, ChaosPolicy, CheckpointConfig, ExecOptions, StrategySpec,
 };
-use lbc_model::json::{Json, ToJson};
+use lbc_model::json::{FromJson, Json, ToJson};
 use local_broadcast_consensus::experiments;
 use local_broadcast_consensus::prelude::*;
 
@@ -93,28 +93,9 @@ fn parse_graph(name: &str) -> Option<Graph> {
     None
 }
 
-fn parse_strategy(name: &str) -> Option<Strategy> {
-    Some(match name {
-        "honest" => Strategy::Honest,
-        "silent" => Strategy::Silent,
-        "tamper-all" => Strategy::TamperAll,
-        "tamper-relays" => Strategy::TamperRelays,
-        "equivocate" => Strategy::Equivocate,
-        "random" => Strategy::Random { seed: 42 },
-        "sleeper" => Strategy::SleeperTamper { honest_rounds: 3 },
-        "straddle-tamper" => Strategy::StraddleTamper,
-        "gst-equivocate" => Strategy::GstEquivocate,
-        "crash-recover" => Strategy::CrashRecover {
-            down_from: 2,
-            down_for: 2,
-        },
-        _ => return None,
-    })
-}
-
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  lbc check <graph> <f> [t]\n  lbc run <alg1|alg2|alg3|p2p|async> <graph> <f> <faulty-node> <strategy>\n  lbc impossibility <graph> <f>\n  lbc experiments [E1..E8]\n  lbc campaign <spec.json> [--workers N] [--out DIR] [--strict] [--quiet] [--telemetry] [--list]\n               [--cell-timeout MS] [--resume]\n  lbc serve <spec.json> [--instances N] [--workers N] [--out DIR] [--strict] [--quiet] [--list]\n  lbc trace <spec.json> --cell <id> [--no-timeline]\n  lbc campaign diff [--cross-spec] <old.report.json> <new.report.json>\n  lbc search <spec.json> [--workers N] [--out DIR] [--resume REPORT] [--require-violation] [--quiet] [--list]\n  lbc graphs\n\nstrategies: honest silent tamper-all tamper-relays equivocate random sleeper straddle-tamper gst-equivocate crash-recover\ngraphs: c<N> k<N> circ<N> wheel<N> path<N> q3 fig1a fig1b\nregimes (spec files): sync | {{\"kind\": \"async\", ...}} | {{\"kind\": \"partial-sync\", \"gst\": G, \"hold\": [..], ...}}\n\ncampaign exit codes: 0 = clean run, 1 = consensus violations under --strict,\n  2 = infrastructure trouble (panicked/timed-out cells, or a usage error)"
+        "usage:\n  lbc check <graph> <f> [t]\n  lbc run <alg1|alg2|alg3|p2p|async> <graph> <f> <faulty-node> <strategy>\n  lbc impossibility <graph> <f>\n  lbc experiments [E1..E8]\n  lbc campaign <spec.json> [--workers N] [--out DIR] [--strict] [--quiet] [--telemetry] [--list]\n               [--cell-timeout MS] [--resume]\n  lbc serve <spec.json> [--instances N] [--workers N] [--out DIR] [--strict] [--quiet] [--list]\n  lbc trace <spec.json> --cell <id> [--no-timeline]\n  lbc campaign diff [--cross-spec] <old.report.json> <new.report.json>\n  lbc search <spec.json> [--workers N] [--out DIR] [--resume REPORT] [--require-violation] [--quiet] [--list]\n  lbc graphs\n\nstrategies: honest silent tamper-all tamper-relays equivocate random sleeper sleeper-tamper straddle-tamper gst-equivocate crash-recover crash-after\ngraphs: c<N> k<N> circ<N> wheel<N> path<N> q3 fig1a fig1b\nregimes (spec files): sync | {{\"kind\": \"async\", ...}} | {{\"kind\": \"partial-sync\", \"gst\": G, \"hold\": [..], ...}}\n\ncampaign exit codes: 0 = clean run, 1 = consensus violations under --strict,\n  2 = infrastructure trouble (panicked/timed-out cells, or a usage error)"
     );
     ExitCode::from(2)
 }
@@ -393,7 +374,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let (Ok(f), Ok(faulty_index)) = (f.parse::<usize>(), faulty_node.parse::<usize>()) else {
         return usage();
     };
-    let Some(strategy) = parse_strategy(strategy_name) else {
+    let Ok(strategy) = StrategySpec::from_json(&Json::Str(strategy_name.clone())) else {
         eprintln!("unknown strategy: {strategy_name}");
         return ExitCode::from(2);
     };
@@ -403,29 +384,29 @@ fn cmd_run(args: &[String]) -> ExitCode {
         return ExitCode::from(2);
     }
     // Alternating inputs make the instance non-trivial.
-    let inputs =
-        InputAssignment::from_bits(n.min(64), 0xAAAA_AAAA_AAAA_AAAA & ((1 << n.min(63)) - 1));
+    let inputs = InputAssignment::from_values((0..n).map(|i| Value::from(i % 2 == 1)).collect());
     let faulty = NodeSet::singleton(NodeId::new(faulty_index));
-    let mut adversary = strategy.clone().into_adversary();
-    let (outcome, trace) = match alg.as_str() {
-        "alg1" => runner::run_algorithm1(&graph, f, &inputs, &faulty, &mut adversary),
-        "alg2" => runner::run_algorithm2(&graph, f, &inputs, &faulty, &mut adversary),
-        "alg3" => runner::run_algorithm3(&graph, f, f, &faulty, &inputs, &faulty, &mut adversary),
-        "p2p" => runner::run_p2p_baseline(&graph, f, &inputs, &faulty, &mut adversary),
-        "async" => {
+    // 42 seeds the `random` strategy.
+    let mut adversary = strategy.materialize(42).into_adversary();
+    let (outcome, trace) = if alg == "alg3" {
+        runner::run_algorithm3(&graph, f, f, &faulty, &inputs, &faulty, &mut adversary)
+    } else {
+        let Some(kind) = AlgorithmKind::from_name(alg) else {
+            eprintln!("unknown algorithm: {alg}");
+            return ExitCode::from(2);
+        };
+        let regime = if kind == AlgorithmKind::AsyncFlood {
             // A representative adversarial schedule; campaigns sweep the
             // full scheduler × delay grid.
-            let regime = lbc_model::Regime::Asynchronous(lbc_model::AsyncRegime {
+            Regime::Asynchronous(lbc_model::AsyncRegime {
                 scheduler: lbc_model::SchedulerKind::EdgeLag,
                 delay: 3,
                 seed: 42,
-            });
-            runner::run_async_flood(&graph, f, &inputs, &faulty, &regime, &mut adversary)
-        }
-        other => {
-            eprintln!("unknown algorithm: {other}");
-            return ExitCode::from(2);
-        }
+            })
+        } else {
+            Regime::Synchronous
+        };
+        runner::run_kind_under(kind, &regime, &graph, f, &inputs, &faulty, &mut adversary)
     };
     println!("graph = {graph_name}, f = {f}, faulty = {faulty}, strategy = {strategy_name}");
     println!("inputs  = {inputs}");

@@ -34,7 +34,15 @@
 //! let inputs = InputAssignment::from_bits(5, 0b01101);
 //! let faulty = NodeSet::singleton(NodeId::new(3));
 //! let mut adversary = Strategy::TamperRelays.into_adversary();
-//! let (outcome, trace) = runner::run_algorithm1(&graph, 1, &inputs, &faulty, &mut adversary);
+//! let (outcome, trace) = runner::run_kind_under(
+//!     AlgorithmKind::Algorithm1,
+//!     &Regime::Synchronous,
+//!     &graph,
+//!     1,
+//!     &inputs,
+//!     &faulty,
+//!     &mut adversary,
+//! );
 //! assert!(outcome.verdict().is_correct());
 //! assert_eq!(trace.rounds(), 30); // 6 candidate fault sets × 5 flooding rounds
 //! ```
@@ -54,11 +62,13 @@ pub use lbc_sim as sim;
 /// Commonly used items, re-exported flat for examples and quick scripts.
 pub mod prelude {
     pub use lbc_adversary::Strategy;
-    pub use lbc_consensus::{conditions, runner, Algorithm1Node, Algorithm2Node, Algorithm3Node};
+    pub use lbc_consensus::{
+        conditions, runner, Algorithm1Node, Algorithm2Node, Algorithm3Node, AlgorithmKind,
+    };
     pub use lbc_graph::{connectivity, generators, paths, Graph};
     pub use lbc_lowerbound::{connectivity_construction, degree_construction};
     pub use lbc_model::{
-        CommModel, ConsensusOutcome, InputAssignment, NodeId, NodeSet, Path, Value,
+        CommModel, ConsensusOutcome, InputAssignment, NodeId, NodeSet, Path, Regime, Value,
     };
     pub use lbc_sim::{HonestAdversary, Network};
 }

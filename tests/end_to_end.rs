@@ -1,8 +1,7 @@
 //! Workspace-level integration tests: the public facade, cross-crate flows,
 //! and the headline claims of the paper exercised end to end.
 
-use local_broadcast_consensus::consensus::AlgorithmKind;
-use local_broadcast_consensus::model::{AdversarialSchedule, AsyncRegime, Regime, SchedulerKind};
+use local_broadcast_consensus::model::{AdversarialSchedule, AsyncRegime, SchedulerKind};
 use local_broadcast_consensus::prelude::*;
 use local_broadcast_consensus::sim::{ObserverHandle, TraceSummary};
 use local_broadcast_consensus::{experiments, lowerbound};
@@ -16,7 +15,15 @@ fn sufficiency_end_to_end_via_facade() {
     let inputs = InputAssignment::from_bits(5, 0b10110);
     let faulty = NodeSet::singleton(NodeId::new(4));
     let mut adversary = Strategy::TamperAll.into_adversary();
-    let (outcome, trace) = runner::run_algorithm1(&graph, 1, &inputs, &faulty, &mut adversary);
+    let (outcome, trace) = runner::run_kind_under(
+        AlgorithmKind::Algorithm1,
+        &Regime::Synchronous,
+        &graph,
+        1,
+        &inputs,
+        &faulty,
+        &mut adversary,
+    );
     assert!(outcome.verdict().is_correct());
     assert_eq!(trace.rounds(), Algorithm1Node::round_count(5, 1));
 }
@@ -141,7 +148,15 @@ fn executions_are_deterministic() {
     let faulty = NodeSet::singleton(NodeId::new(2));
     let run = || {
         let mut adversary = Strategy::Random { seed: 99 }.into_adversary();
-        runner::run_algorithm1(&graph, 1, &inputs, &faulty, &mut adversary)
+        runner::run_kind_under(
+            AlgorithmKind::Algorithm1,
+            &Regime::Synchronous,
+            &graph,
+            1,
+            &inputs,
+            &faulty,
+            &mut adversary,
+        )
     };
     let (o1, t1) = run();
     let (o2, t2) = run();
@@ -286,4 +301,26 @@ fn step_accounting_is_pinned_in_both_loops() {
         assert_eq!(observed, interfered(plain, tampered, equivocated), "{cell}");
         assert_eq!(chained, plain.transmissions, "{cell}");
     }
+}
+
+/// `lbc run` builds one input per node on graphs of any size: a 65-node
+/// cycle, one past the 64-bit input mask, runs to a decision.
+#[test]
+fn lbc_run_accepts_graphs_above_64_nodes() {
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_lbc"))
+        .args(["run", "async", "c65", "1", "0", "honest"])
+        .output()
+        .expect("lbc starts");
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let stdout = String::from_utf8(output.stdout).expect("utf-8 output");
+    let inputs = stdout
+        .lines()
+        .find_map(|line| line.strip_prefix("inputs  = "))
+        .expect("an inputs line");
+    assert_eq!(inputs.len(), 65, "{inputs}");
+    assert!(inputs.chars().all(|c| c == '0' || c == '1'), "{inputs}");
 }
