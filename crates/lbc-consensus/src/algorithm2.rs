@@ -29,7 +29,7 @@
 //! (common) communication graph, so every node would otherwise recompute
 //! the same max-flow results.
 
-use std::cell::RefCell;
+use std::cell::OnceCell;
 use std::rc::Rc;
 
 use lbc_graph::{paths, Graph};
@@ -174,8 +174,7 @@ impl Algorithm2Node {
             let relay = ctx.arena.borrow().find_child(PathId::EMPTY, origin);
             return relay.is_some_and(|relay| flood.value_along_relay(relay) == Some(value));
         }
-        let candidates = flood.paths_with_value(origin, value);
-        paths::find_internally_disjoint_subset(&candidates, ctx.f + 1).is_some()
+        flood.received_along_disjoint_paths(origin, value, ctx.f + 1)
     }
 
     /// The set of `(origin, value)` pairs reliably received in phase 1.
@@ -219,8 +218,10 @@ impl Algorithm2Node {
                 .as_ref()
                 .is_some_and(|flood| flood.overheard_exactly(observed, observed_path, value));
         }
-        let candidates = self.reports.full_paths(ctx, observed, value, observed_path);
-        paths::find_internally_disjoint_subset(&candidates, ctx.f + 1).is_some()
+        let internal = self
+            .reports
+            .internal_sets(ctx, observed, value, observed_path);
+        paths::has_disjoint_family(internal, ctx.f + 1)
     }
 
     /// The `2f` node-disjoint `origin → other` paths inspected by the fault
@@ -497,26 +498,14 @@ struct ReportFlood {
     /// Per-node first values that diverge from the shared record (empty
     /// under local broadcast; see the ledger module docs).
     overrides: FxHashMap<u32, Value>,
-    /// Lazily built stream index and per-stream resolved paths (interior
-    /// mutability: queries run behind `&self` during fault identification).
-    /// Nothing is indexed or resolved until the first stream query — most
-    /// executions query few or no streams (neighbors are checked by direct
-    /// overhearing), and eagerly indexing the accepted records measurably
-    /// dominated identification.
-    streams: RefCell<StreamIndex>,
+    /// Accepted record indices by stream `(observed, value,
+    /// observed_path)`, built on the first stream query (queries run behind
+    /// `&self` during fault identification). Most executions query few or
+    /// no streams (neighbors are checked by direct overhearing), and eagerly
+    /// indexing the accepted records measurably dominated identification.
+    streams: OnceCell<FxHashMap<(NodeId, Value, PathId), Vec<u32>>>,
     /// Scratch buffer for [`validate_path`] (avoids per-message allocation).
     validate_scratch: Vec<PathId>,
-}
-
-/// Lazily built index of accepted report records by stream; see
-/// [`ReportFlood::full_paths`].
-#[derive(Debug, Clone, Default)]
-struct StreamIndex {
-    built: bool,
-    /// `(observed, value, observed_path)` → accepted record indices.
-    by_stream: FxHashMap<(NodeId, Value, PathId), Vec<u32>>,
-    /// Resolved full `observed → me` paths per *queried* stream.
-    resolved: FxHashMap<(NodeId, Value, PathId), Rc<Vec<Path>>>,
 }
 
 impl ReportFlood {
@@ -697,59 +686,47 @@ impl ReportFlood {
         }
     }
 
-    /// The full `observed → me` paths the report `(observed, value,
-    /// observed_path)` arrived along, in arrival order. The stream index is
-    /// built from the accepted records on the first query of the execution,
-    /// and each queried stream's paths resolve once and are cached — an
+    /// The internal node sets of the full `observed → me` paths the report
+    /// `(observed, value, observed_path)` arrived along, in arrival order:
+    /// each accepted relay starts at `observed` and, by rule (iii), avoids
+    /// `me`, so its internal nodes are its members minus `observed`. An
     /// execution that never asks (every reliably-received check answered by
-    /// direct overhearing) pays nothing.
-    fn full_paths(
+    /// direct overhearing) never builds the stream index.
+    fn internal_sets(
         &self,
         ctx: &NodeContext<'_>,
         observed: NodeId,
         value: Value,
         observed_path: PathId,
-    ) -> Rc<Vec<Path>> {
+    ) -> Vec<NodeSet> {
         let Some(channel) = self.channel else {
-            return Rc::new(Vec::new()); // no report was ever processed
+            return Vec::new(); // no report was ever processed
         };
-        let mut streams = self.streams.borrow_mut();
-        if !streams.built {
-            streams.built = true;
-            let ledger = ctx.ledger.borrow();
+        let ledger = ctx.ledger.borrow();
+        let streams = self.streams.get_or_init(|| {
+            let mut by_stream: FxHashMap<(NodeId, Value, PathId), Vec<u32>> = FxHashMap::default();
             for &index in &self.accepted {
                 let record = ledger.record(channel, index);
                 let accepted_value = self.overrides.get(&index).copied().unwrap_or(record.value);
-                streams
-                    .by_stream
+                by_stream
                     .entry((record.observed, accepted_value, record.observed_path))
                     .or_default()
                     .push(index);
             }
-        }
-        let key = (observed, value, observed_path);
-        if let Some(found) = streams.resolved.get(&key) {
-            return Rc::clone(found);
-        }
-        let resolved = match streams.by_stream.get(&key) {
-            Some(indices) => {
-                let arena = ctx.arena.borrow();
-                let ledger = ctx.ledger.borrow();
-                Rc::new(
-                    indices
-                        .iter()
-                        .map(|&index| {
-                            let mut nodes = arena.nodes(ledger.record(channel, index).relay);
-                            nodes.push(ctx.id);
-                            Path::from_nodes(nodes)
-                        })
-                        .collect::<Vec<Path>>(),
-                )
-            }
-            None => Rc::new(Vec::new()),
+            by_stream
+        });
+        let Some(indices) = streams.get(&(observed, value, observed_path)) else {
+            return Vec::new();
         };
-        streams.resolved.insert(key, Rc::clone(&resolved));
-        resolved
+        let arena = ctx.arena.borrow();
+        indices
+            .iter()
+            .map(|&index| {
+                let mut members = arena.members(ledger.record(channel, index).relay).clone();
+                members.remove(observed);
+                members
+            })
+            .collect()
     }
 }
 
@@ -927,11 +904,13 @@ mod tests {
             .process(&arena, &ledger, &graph, n(2), n(1), &report)
             .is_none());
         let ctx = ctx_at(n(2), &graph, &arena, &ledger);
-        let full = flood.full_paths(&ctx, n(0), Value::Zero, observed_path);
-        assert_eq!(full.len(), 1);
-        assert_eq!(full[0].nodes(), &[n(0), n(1), n(2)]);
+        // The full path is 0-1-2: its only internal node is 1.
+        assert_eq!(
+            flood.internal_sets(&ctx, n(0), Value::Zero, observed_path),
+            vec![NodeSet::singleton(n(1))]
+        );
         assert!(flood
-            .full_paths(&ctx, n(0), Value::One, observed_path)
+            .internal_sets(&ctx, n(0), Value::One, observed_path)
             .is_empty());
     }
 
@@ -957,25 +936,25 @@ mod tests {
         assert!(at_node0
             .process(&arena, &ledger, &graph, n(0), n(1), &report)
             .is_some());
+        // Both receivers heard node 1 directly: full paths 1-2 and 1-0,
+        // with no internal node.
         assert_eq!(
-            at_node2.full_paths(
+            at_node2.internal_sets(
                 &ctx_at(n(2), &graph, &arena, &ledger),
                 n(1),
                 Value::One,
                 observed_path
-            )[0]
-            .nodes(),
-            &[n(1), n(2)]
+            ),
+            vec![NodeSet::new()]
         );
         assert_eq!(
-            at_node0.full_paths(
+            at_node0.internal_sets(
                 &ctx_at(n(0), &graph, &arena, &ledger),
                 n(1),
                 Value::One,
                 observed_path
-            )[0]
-            .nodes(),
-            &[n(1), n(0)]
+            ),
+            vec![NodeSet::new()]
         );
     }
 

@@ -15,7 +15,10 @@
 //!    whose value `b` arrived along `f + 1` internally-disjoint `u→v`
 //!    paths.
 //! 3. Once the flood has provably quiesced, the node decides the majority
-//!    of its reliably received values (its own input on a tie).
+//!    of its reliably received values, 0 on a tie. It falls back to its own
+//!    input only when it reliably received nothing. Breaking ties by the
+//!    own input would split correct nodes, which share one reliable set
+//!    when `κ ≥ 2f + 1`.
 //!
 //! # The decision horizon
 //!
@@ -50,7 +53,6 @@
 //! blocks one of the only two disjoint paths) and their majorities can
 //! split — the violation the async boundary campaign reproduces on cycles.
 
-use lbc_graph::paths;
 use lbc_model::{NodeId, PathId, Round, Value};
 use lbc_sim::{Inbox, NodeContext, Outgoing, Protocol};
 
@@ -181,12 +183,12 @@ impl AsyncFloodNode {
             let relay = ctx.arena.borrow().find_child(PathId::EMPTY, origin);
             return relay.is_some_and(|relay| flood.value_along_relay(relay) == Some(value));
         }
-        let candidates = flood.paths_with_value(origin, value);
-        paths::find_internally_disjoint_subset(&candidates, ctx.f + 1).is_some()
+        flood.received_along_disjoint_paths(origin, value, ctx.f + 1)
     }
 
-    /// Runs the decision rule: majority of the reliably received values,
-    /// falling back to the node's own input on a tie or an empty set.
+    /// Runs the decision rule: majority of the reliably received values
+    /// ([`Value::majority`]: 0 on a tie), falling back to the node's own
+    /// input only when it reliably received nothing.
     fn decide(&mut self, ctx: &NodeContext<'_>) {
         let mut reliable = Vec::new();
         for origin in ctx.graph.nodes() {
@@ -294,6 +296,42 @@ mod tests {
             ),
             10 + AsyncFloodNode::step_count(5, 2)
         );
+    }
+
+    #[test]
+    fn a_tie_decides_zero_not_the_own_input() {
+        // C10(1,2), no fault, five 0s and five 1s: every node reliably
+        // receives all ten inputs, so the majority is a tie and every node
+        // decides 0, the five nodes whose input is 1 included.
+        use lbc_graph::generators;
+        use lbc_model::{AsyncRegime, InputAssignment, NodeSet, Regime, SchedulerKind};
+        use lbc_sim::HonestAdversary;
+
+        let graph = generators::circulant(10, &[1, 2]);
+        let inputs = InputAssignment::from_bits(10, 0b10_1010_1010);
+        let edge_lag = Regime::Asynchronous(AsyncRegime {
+            scheduler: SchedulerKind::EdgeLag,
+            delay: 3,
+            seed: 5,
+        });
+        for regime in [Regime::Synchronous, edge_lag] {
+            let (outcome, _) = crate::runner::run_kind_under(
+                crate::AlgorithmKind::AsyncFlood,
+                &regime,
+                &graph,
+                1,
+                &inputs,
+                &NodeSet::new(),
+                &mut HonestAdversary,
+            );
+            for (node, input) in inputs.iter() {
+                assert_eq!(
+                    outcome.output_of(node),
+                    Some(Value::Zero),
+                    "{node} (input {input}) under {regime}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //!   exactly per-node-faithful under equivocation-capable models too). A
 //!   per-origin index makes [`LedgerFlooder::received_from`] /
 //!   [`LedgerFlooder::paths_with_value`] indexed lookups instead of
-//!   full-map scans.
+//!   full-map scans, and lets [`LedgerFlooder::received_along_disjoint_paths`]
+//!   answer Definition C.1 from the relays' member bitsets.
 //! * [`NaiveFlooder`] — the pre-interning reference engine (`BTreeMap` keyed
 //!   by cloned [`Path`]s), kept as the oracle for the equivalence tests and
 //!   the `naive` benchmark variants.
@@ -41,7 +42,7 @@
 
 use std::collections::BTreeMap;
 
-use lbc_graph::Graph;
+use lbc_graph::{paths, Graph};
 use lbc_model::{
     ChannelId, DenseBits, NodeId, NodeSet, Path, PathArena, PathId, SharedFloodLedger,
     SharedPathArena, Value,
@@ -478,6 +479,27 @@ impl LedgerFlooder {
             .collect();
         paths.sort();
         paths
+    }
+
+    /// Definition C.1's path test: whether this node received `value` from
+    /// `origin` along `k` pairwise internally disjoint paths. Reads the
+    /// relays' memoized member sets and resolves no path: the internal nodes
+    /// of the full path `relay‑me` are the relay's members minus `origin`,
+    /// since rule (iii) keeps `me` out of every indexed relay.
+    #[must_use]
+    pub fn received_along_disjoint_paths(&self, origin: NodeId, value: Value, k: usize) -> bool {
+        let arena = self.arena.borrow();
+        let internal: Vec<NodeSet> = self
+            .relay_ids_from(origin)
+            .iter()
+            .filter(|id| self.relay_value(&arena, **id) == Some(value))
+            .map(|id| {
+                let mut members = arena.members(*id).clone();
+                members.remove(origin);
+                members
+            })
+            .collect();
+        paths::has_disjoint_family(internal, k)
     }
 
     /// The full paths from `origin` delivering `value` that *exclude* the

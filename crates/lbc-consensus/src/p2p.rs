@@ -20,7 +20,7 @@
 
 use std::collections::BTreeMap;
 
-use lbc_model::{NodeId, Round, Value};
+use lbc_model::{NodeId, PathId, Round, Value};
 use lbc_sim::{ByzantineMessage, Delivery, Inbox, MessageView, NodeContext, Outgoing, Protocol};
 
 use crate::flooding::{LedgerFlooder, TAG_VALUE};
@@ -194,16 +194,17 @@ impl P2pBaselineNode {
                 }
                 continue;
             }
+            // A neighbor's transmission is heard directly: the full path
+            // origin-me, whose relay is `[origin]`.
+            let direct_relay = if ctx.graph.has_edge(ctx.id, origin) {
+                ctx.arena.borrow().find_child(PathId::EMPTY, origin)
+            } else {
+                None
+            };
             for value in [Value::Zero, Value::One] {
-                let candidates = flooder.paths_with_value(origin, value);
-                let direct = ctx.graph.has_edge(ctx.id, origin)
-                    && candidates
-                        .iter()
-                        .any(|p| p.len() == 2 && p.first() == Some(origin));
-                let relayed =
-                    lbc_graph::paths::find_internally_disjoint_subset(&candidates, ctx.f + 1)
-                        .is_some();
-                if direct || relayed {
+                let direct = direct_relay
+                    .is_some_and(|relay| flooder.value_along_relay(relay) == Some(value));
+                if direct || flooder.received_along_disjoint_paths(origin, value, ctx.f + 1) {
                     accepted.insert(origin, value);
                     break;
                 }

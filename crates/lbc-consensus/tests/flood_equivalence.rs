@@ -13,8 +13,12 @@
 //! Scripts cover the fault-free case, relay tampering, attempted
 //! equivocation (suppressed by rule (ii)), omission (silent nodes and
 //! default injection), and divergent per-receiver deliveries (the situation
-//! where the ledger's per-node overrides must carry the engine). Further
-//! tests compare the query accessors value by value.
+//! where the ledger's per-node overrides must carry the engine). Every
+//! whole-graph script also compares Definition C.1's path test for every
+//! node, origin, value and `k = 1..=3`: the production engine's answer
+//! from its relays' member sets against an exhaustive search over the
+//! reference engine's paths. Further tests compare the query accessors
+//! value by value.
 
 use lbc_consensus::flooding::{LedgerFlooder, NaiveFloodMsg, NaiveFlooder};
 use lbc_consensus::{conditions, runner, AlgorithmKind, FloodMsg};
@@ -51,6 +55,8 @@ struct Transcript {
     received_from: Vec<Vec<(Vec<NodeId>, Value)>>,
     overheard: Vec<Vec<(NodeId, Vec<NodeId>, Value)>>,
     received_counts: Vec<usize>,
+    /// Definition C.1's path test per `(node, origin, value, k)`, k = 1..=3.
+    disjoint_paths: Vec<(usize, usize, Value, usize, bool)>,
 }
 
 fn apply_fault(
@@ -89,6 +95,9 @@ trait Engine: Sized {
     fn received_from(&self, origin: NodeId) -> Vec<(Path, Value)>;
     fn overheard(&self) -> Vec<(NodeId, Path, Value)>;
     fn received_count(&self) -> usize;
+    /// Whether `value` from `origin` arrived along `k` pairwise internally
+    /// disjoint paths.
+    fn disjoint_paths(&self, origin: NodeId, value: Value, k: usize) -> bool;
 }
 
 thread_local! {
@@ -147,6 +156,10 @@ impl Engine for LedgerFlooder {
     fn received_count(&self) -> usize {
         LedgerFlooder::received_count(self)
     }
+
+    fn disjoint_paths(&self, origin: NodeId, value: Value, k: usize) -> bool {
+        self.received_along_disjoint_paths(origin, value, k)
+    }
 }
 
 impl Engine for NaiveFlooder {
@@ -197,6 +210,35 @@ impl Engine for NaiveFlooder {
     fn received_count(&self) -> usize {
         NaiveFlooder::received_count(self)
     }
+
+    fn disjoint_paths(&self, origin: NodeId, value: Value, k: usize) -> bool {
+        brute_force_disjoint_paths(&self.paths_with_value(origin, value), k)
+    }
+}
+
+/// Definition C.1 by exhaustive search over the reference engine's full
+/// paths: whether `k` of them are pairwise internally disjoint. The search
+/// runs over the paths' distinct internal node sets. That loses nothing:
+/// paths with equal non-empty sets conflict, and only the direct edge
+/// `origin-me` has an empty one.
+fn brute_force_disjoint_paths(paths: &[Path], k: usize) -> bool {
+    fn pick(masks: &[u64], k: usize, union: u64) -> bool {
+        k == 0
+            || masks
+                .iter()
+                .enumerate()
+                .any(|(i, &mask)| mask & union == 0 && pick(&masks[i + 1..], k - 1, union | mask))
+    }
+    let mut masks: Vec<u64> = paths
+        .iter()
+        .map(|path| {
+            path.internal_nodes()
+                .fold(0, |mask, w| mask | 1 << w.index())
+        })
+        .collect();
+    masks.sort_unstable();
+    masks.dedup();
+    pick(&masks, k, 0)
 }
 
 fn resolve_out(arena: &SharedPathArena, out: &[Outgoing<FloodMsg>]) -> Vec<(Value, Vec<NodeId>)> {
@@ -259,6 +301,17 @@ fn run_engine<E: Engine>(
         pending = next_pending;
     }
 
+    let mut disjoint_paths = Vec::new();
+    for (v, flooder) in flooders.iter().enumerate() {
+        for origin in 0..node_count {
+            for value in [Value::Zero, Value::One] {
+                for k in 1..=3 {
+                    let answer = flooder.disjoint_paths(n(origin), value, k);
+                    disjoint_paths.push((v, origin, value, k, answer));
+                }
+            }
+        }
+    }
     Transcript {
         rounds: transcript_rounds,
         received_from: flooders
@@ -283,6 +336,7 @@ fn run_engine<E: Engine>(
             })
             .collect(),
         received_counts: flooders.iter().map(E::received_count).collect(),
+        disjoint_paths,
     }
 }
 
@@ -305,6 +359,10 @@ fn assert_equivalent(graph: &Graph, inputs: &[Value], fault: Fault, label: &str)
     assert_eq!(
         ledger.received_counts, naive.received_counts,
         "{label}: received counts diverge"
+    );
+    assert_eq!(
+        ledger.disjoint_paths, naive.disjoint_paths,
+        "{label}: Definition C.1 answers diverge"
     );
 }
 

@@ -1,6 +1,7 @@
-//! Path finding: BFS paths, paths excluding a node set, and maximum families
-//! of node-disjoint `uv`-paths and `Uv`-paths (Menger's theorem made
-//! executable).
+//! Path finding: BFS paths, paths excluding a node set, maximum families of
+//! node-disjoint `uv`-paths and `Uv`-paths (Menger's theorem made
+//! executable), and the disjoint-family test of Definition C.1 over an
+//! explicit list of received paths.
 //!
 //! Terminology follows Section 3 of the paper:
 //!
@@ -259,92 +260,100 @@ pub fn all_simple_paths(graph: &Graph, u: NodeId, v: NodeId) -> Vec<Path> {
     result
 }
 
-/// Exact backtracking search for `k` pairwise-compatible paths among an
-/// explicit collection, where "compatible" is supplied by the caller.
+/// Whether `k` of the node sets `sets` are pairwise disjoint.
 ///
-/// Unlike the flow-based functions above, the candidate set here is an
-/// arbitrary explicit list (the messages a node actually received), so we use
-/// an exact search: order shortest-first and backtrack. The candidate lists
-/// are small on the graph sizes the exponential algorithm is run on.
-fn find_compatible_subset(
-    candidates: &[Path],
-    k: usize,
-    compatible: impl Fn(&Path, &Path) -> bool,
-) -> Option<Vec<Path>> {
-    if k == 0 {
-        return Some(Vec::new());
+/// This is the "received along `f + 1` internally disjoint `uv`-paths"
+/// test of Definition C.1 (Algorithm 2 and the asynchronous algorithm),
+/// with each candidate path given by its set of internal nodes: two
+/// `uv`-paths are internally disjoint exactly when those sets are. The
+/// answer is exact and comes in three steps:
+///
+/// 1. An empty set (the direct edge `[u, v]`) is disjoint from every set,
+///    another empty one included, so each counts towards `k` outright.
+/// 2. A greedy first-fit pass over the other sets, smallest first, answers
+///    most yes-instances without any search.
+/// 3. Otherwise a backtracking search runs over the inclusion-minimal sets
+///    only. No family is lost: swapping a member for a minimal set inside
+///    it keeps the family disjoint. Forged copies that all pass through one
+///    faulty node collapse to a few minimal sets, all holding that node.
+#[must_use]
+pub fn has_disjoint_family(mut sets: Vec<NodeSet>, k: usize) -> bool {
+    let total = sets.len();
+    sets.retain(|set| !set.is_empty());
+    let need = k.saturating_sub(total - sets.len());
+    if need == 0 {
+        return true;
     }
-    if candidates.len() < k {
-        return None;
+    if sets.len() < need {
+        return false;
     }
-    // Order shortest-first: short paths conflict with fewer others.
-    let mut order: Vec<usize> = (0..candidates.len()).collect();
-    order.sort_by_key(|&i| candidates[i].len());
-
-    fn search(
-        candidates: &[Path],
-        order: &[usize],
-        compatible: &impl Fn(&Path, &Path) -> bool,
-        k: usize,
-        start: usize,
-        chosen: &mut Vec<usize>,
-    ) -> bool {
-        if chosen.len() == k {
-            return true;
-        }
-        if order.len() - start < k - chosen.len() {
-            return false;
-        }
-        for pos in start..order.len() {
-            let idx = order[pos];
-            if chosen
-                .iter()
-                .any(|&c| !compatible(&candidates[c], &candidates[idx]))
-            {
-                continue;
-            }
-            chosen.push(idx);
-            if search(candidates, order, compatible, k, pos + 1, chosen) {
+    sets.sort_unstable_by_key(NodeSet::len);
+    let width = sets
+        .iter()
+        .map(|set| set.as_words().len())
+        .max()
+        .unwrap_or(0);
+    let mut union = vec![0u64; width];
+    let mut picked = 0;
+    for set in &sets {
+        if disjoint(&union, set.as_words()) {
+            or_into(&mut union, set.as_words());
+            picked += 1;
+            if picked == need {
                 return true;
             }
-            chosen.pop();
         }
-        false
     }
-
-    let mut chosen = Vec::new();
-    if search(candidates, &order, &compatible, k, 0, &mut chosen) {
-        Some(chosen.into_iter().map(|i| candidates[i].clone()).collect())
-    } else {
-        None
+    // Sorted by size, a set's proper subsets come before it, so a set is
+    // minimal iff no set kept so far lies inside it (an equal copy counts:
+    // equal non-empty sets conflict, so one copy is enough).
+    let mut minimal: Vec<&[u64]> = Vec::new();
+    for set in &sets {
+        if !minimal.iter().any(|kept| subset(kept, set.as_words())) {
+            minimal.push(set.as_words());
+        }
     }
+    union.fill(0);
+    extend_family(&minimal, need, &mut union)
 }
 
-/// Searches the explicit candidate collection for `k` pairwise node-disjoint
-/// `Uv`-paths sharing only the endpoint `shared_endpoint` (the `A_v v`-path
-/// check of Algorithm 1 / Algorithm 3 step (c)).
-///
-/// Returns a witness family of `k` pairwise disjoint paths if one exists.
-#[must_use]
-pub fn find_disjoint_subset(
-    candidates: &[Path],
-    shared_endpoint: NodeId,
-    k: usize,
-) -> Option<Vec<Path>> {
-    find_compatible_subset(candidates, k, |a, b| {
-        a.disjoint_except_endpoint(b, shared_endpoint)
-    })
+/// Backtracking step of [`has_disjoint_family`]: whether `need` sets of
+/// `sets`, pairwise disjoint and disjoint from `union`, exist.
+fn extend_family(sets: &[&[u64]], need: usize, union: &mut [u64]) -> bool {
+    if need == 0 {
+        return true;
+    }
+    for (index, set) in sets.iter().enumerate() {
+        if sets.len() - index < need {
+            return false;
+        }
+        if disjoint(union, set) {
+            or_into(union, set);
+            if extend_family(&sets[index + 1..], need - 1, union) {
+                return true;
+            }
+            // `set` was disjoint from `union`, so this undoes the union.
+            for (word, bits) in union.iter_mut().zip(set.iter()) {
+                *word &= !bits;
+            }
+        }
+    }
+    false
 }
 
-/// Searches the explicit candidate collection for `k` pairwise *internally*
-/// disjoint `uv`-paths (they may share both endpoints) — the "reliably
-/// received along `f+1` node-disjoint `uv`-paths" check of Definition C.1.
-///
-/// Returns a witness family of `k` pairwise internally disjoint paths if one
-/// exists.
-#[must_use]
-pub fn find_internally_disjoint_subset(candidates: &[Path], k: usize) -> Option<Vec<Path>> {
-    find_compatible_subset(candidates, k, Path::internally_disjoint)
+fn disjoint(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x & y == 0)
+}
+
+/// Whether `a ⊆ b`, for canonical (trailing-zero-free) words.
+fn subset(a: &[u64], b: &[u64]) -> bool {
+    a.len() <= b.len() && a.iter().zip(b).all(|(x, y)| x & !y == 0)
+}
+
+fn or_into(union: &mut [u64], set: &[u64]) {
+    for (word, bits) in union.iter_mut().zip(set) {
+        *word |= bits;
+    }
 }
 
 #[cfg(test)]
@@ -506,40 +515,91 @@ mod tests {
         assert_eq!(all_simple_paths(&g, n(0), n(4)).len(), 16);
     }
 
+    /// The internal node sets of `candidates`, the input of
+    /// [`has_disjoint_family`].
+    fn internal_sets(candidates: &[Path]) -> Vec<NodeSet> {
+        candidates
+            .iter()
+            .map(|path| path.internal_nodes().collect())
+            .collect()
+    }
+
     #[test]
-    fn find_internally_disjoint_subset_on_uv_paths() {
+    fn disjoint_family_on_uv_paths() {
         // uv-paths share both endpoints; only internal disjointness matters.
         let g = generators::cycle(5);
-        let candidates = all_simple_paths(&g, n(0), n(2));
-        let witness = find_internally_disjoint_subset(&candidates, 2).unwrap();
-        assert_eq!(witness.len(), 2);
-        assert!(witness[0].internally_disjoint(&witness[1]));
-        assert!(find_internally_disjoint_subset(&candidates, 3).is_none());
-        assert_eq!(
-            find_internally_disjoint_subset(&candidates, 0)
-                .unwrap()
-                .len(),
-            0
-        );
+        let candidates = internal_sets(&all_simple_paths(&g, n(0), n(2)));
+        assert!(has_disjoint_family(candidates.clone(), 2));
+        assert!(!has_disjoint_family(candidates.clone(), 3));
+        assert!(has_disjoint_family(candidates, 0));
+        assert!(has_disjoint_family(Vec::new(), 0));
+        assert!(!has_disjoint_family(Vec::new(), 1));
     }
 
     #[test]
-    fn find_disjoint_subset_finds_uv_path_witnesses() {
-        // Two Av v-paths from distinct sources, sharing only v = 0.
-        let a = Path::from_nodes([n(1), n(2), n(0)]);
-        let b = Path::from_nodes([n(3), n(4), n(0)]);
-        let c = Path::from_nodes([n(3), n(2), n(0)]); // conflicts with both
-        let witness = find_disjoint_subset(&[a.clone(), b.clone(), c], n(0), 2).unwrap();
-        assert_eq!(witness.len(), 2);
-        assert!(witness[0].disjoint_except_endpoint(&witness[1], n(0)));
-        assert!(find_disjoint_subset(&[a.clone(), b.clone()], n(0), 3).is_none());
+    fn empty_sets_count_without_limit() {
+        // Every empty set is a direct edge, disjoint even from another one.
+        assert!(has_disjoint_family(vec![NodeSet::new(); 4], 4));
+        assert!(!has_disjoint_family(vec![NodeSet::new(); 4], 5));
+        let mut sets = vec![NodeSet::new(); 3];
+        sets.push(set(&[1, 2]));
+        assert!(has_disjoint_family(sets, 4));
     }
 
     #[test]
-    fn find_disjoint_subset_requires_disjoint_sources_too() {
-        // Two paths starting at the same node are not node-disjoint Uv-paths.
-        let a = Path::from_nodes([n(1), n(2), n(0)]);
-        let b = Path::from_nodes([n(1), n(3), n(0)]);
-        assert!(find_disjoint_subset(&[a, b], n(0), 2).is_none());
+    fn equal_non_empty_sets_conflict() {
+        assert!(!has_disjoint_family(vec![set(&[3]); 5], 2));
+        assert!(!has_disjoint_family(vec![set(&[1, 2]), set(&[1, 2])], 2));
+        assert!(has_disjoint_family(
+            vec![set(&[3]), set(&[3]), NodeSet::new()],
+            2
+        ));
+    }
+
+    #[test]
+    fn pairwise_intersecting_sets_without_a_common_node() {
+        // {a,b}, {b,c}, {a,c}: every pair meets and no node is in all three,
+        // so even the minimal-set search must answer no for k = 2.
+        let sets = vec![set(&[1, 2]), set(&[2, 3]), set(&[1, 3])];
+        assert!(has_disjoint_family(sets.clone(), 1));
+        assert!(!has_disjoint_family(sets, 2));
+    }
+
+    #[test]
+    fn supersets_of_chosen_sets_are_never_needed() {
+        // Greedy takes {2, 3} first and then finds nothing disjoint from it.
+        // The search drops {3, 4, 5, 8}, a superset of {3, 4, 5}, and finds
+        // {1, 2, 9}, {3, 4, 5} in place of {1, 2, 9}, {3, 4, 5, 8}.
+        let sets = vec![
+            set(&[3, 4, 5, 8]),
+            set(&[1, 2, 9]),
+            set(&[2, 3]),
+            set(&[3, 4, 5]),
+        ];
+        assert!(has_disjoint_family(sets.clone(), 2));
+        assert!(!has_disjoint_family(sets, 3));
+        let nested = vec![set(&[4]), set(&[4, 5]), set(&[4, 5, 6])];
+        assert!(!has_disjoint_family(nested, 2));
+    }
+
+    #[test]
+    fn greedy_miss_is_recovered_by_the_search() {
+        // Smallest first, greedy picks {2, 3}, which blocks both {1, 2, 5}
+        // and {3, 4, 6}; those two are the answer for k = 2.
+        let mut sets = vec![set(&[1, 2, 5]), set(&[3, 4, 6]), set(&[2, 3])];
+        assert!(has_disjoint_family(sets.clone(), 2));
+        assert!(!has_disjoint_family(sets.clone(), 3));
+        // The direct edge joins that family; it must not stand in for it.
+        sets.push(NodeSet::new());
+        assert!(has_disjoint_family(sets.clone(), 3));
+        assert!(!has_disjoint_family(sets, 4));
+    }
+
+    #[test]
+    fn sets_above_64_nodes_use_every_word() {
+        let far = set(&[70]);
+        let both = set(&[3, 70]);
+        assert!(!has_disjoint_family(vec![far.clone(), both.clone()], 2));
+        assert!(has_disjoint_family(vec![far, set(&[3]), both], 2));
     }
 }

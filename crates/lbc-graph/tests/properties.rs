@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use lbc_graph::{connectivity, cuts, generators, paths, Graph};
-use lbc_model::{NodeId, NodeSet};
+use lbc_model::{NodeId, NodeSet, Path};
 
 /// A random connected-ish graph: G(n, p) seeded deterministically.
 fn random_graph(n: usize, p: f64, seed: u64) -> Graph {
@@ -169,5 +169,167 @@ proptest! {
         let g = generators::random_satisfying(n, f, 0.3, &mut rng);
         prop_assert!(g.min_degree() >= 2 * f);
         prop_assert!(connectivity::is_k_connected(&g, (3 * f) / 2 + 1));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Definition C.1's disjoint-family search against brute force.
+// ---------------------------------------------------------------------------
+
+/// The graphs the search is checked on: cycles C4–C9, K5–K6, and the
+/// circulants C5–C9(1,2) and C8–C9(1,3).
+fn search_graph(index: usize) -> Graph {
+    match index {
+        0..=5 => generators::cycle(index + 4),
+        6 => generators::complete(5),
+        7 => generators::complete(6),
+        8..=12 => generators::circulant(index - 3, &[1, 2]),
+        _ => generators::circulant(index - 5, &[1, 3]),
+    }
+}
+
+/// Number of graphs [`search_graph`] knows.
+const SEARCH_GRAPHS: usize = 15;
+
+/// Whether some `k` of `sets` are pairwise disjoint, by trying every
+/// `k`-subset.
+fn disjoint_family_oracle(sets: &[NodeSet], k: usize) -> bool {
+    fn pick(sets: &[NodeSet], k: usize, start: usize, chosen: &mut Vec<usize>) -> bool {
+        if chosen.len() == k {
+            return chosen.iter().enumerate().all(|(i, &a)| {
+                chosen[i + 1..]
+                    .iter()
+                    .all(|&b| sets[a].is_disjoint(&sets[b]))
+            });
+        }
+        (start..sets.len()).any(|next| {
+            chosen.push(next);
+            let found = pick(sets, k, next + 1, chosen);
+            chosen.pop();
+            found
+        })
+    }
+    pick(sets, k, 0, &mut Vec::new())
+}
+
+/// The internal node sets of `candidates`, the search's input.
+fn internal_sets(candidates: &[Path]) -> Vec<NodeSet> {
+    candidates
+        .iter()
+        .map(|path| path.internal_nodes().collect())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `has_disjoint_family` answers exactly like the brute force on
+    /// multisets of `uv`-paths: drawn from every simple path, or only from
+    /// those through one node (the copies of a value forged there), with
+    /// one candidate twice and up to two copies of the direct edge.
+    #[test]
+    fn disjoint_family_matches_brute_force(
+        graph_index in 0usize..SEARCH_GRAPHS,
+        u in 0usize..9,
+        offset in 1usize..9,
+        picks in prop::collection::vec(0usize..100_000, 0..12),
+        through in 0usize..12,
+        direct in 0usize..3,
+    ) {
+        let g = search_graph(graph_index);
+        let n = g.node_count();
+        let (u, v) = (NodeId::new(u % n), NodeId::new((u + offset) % n));
+        prop_assume!(u != v);
+        let through = NodeId::new(through);
+        let pool: Vec<Path> = paths::all_simple_paths(&g, u, v)
+            .into_iter()
+            .filter(|path| through.index() >= n || path.internal_nodes().any(|w| w == through))
+            .collect();
+        let mut candidates: Vec<Path> = if pool.is_empty() {
+            Vec::new()
+        } else {
+            picks.iter().map(|&i| pool[i % pool.len()].clone()).collect()
+        };
+        if let Some(first) = candidates.first().cloned() {
+            candidates.push(first);
+        }
+        candidates.extend((0..direct).map(|_| Path::from_nodes([u, v])));
+        let sets = internal_sets(&candidates);
+        for k in 0..=4 {
+            prop_assert_eq!(
+                paths::has_disjoint_family(sets.clone(), k),
+                disjoint_family_oracle(&sets, k),
+                "graph {}, {}-{}, k = {}, candidates {:?}",
+                graph_index, u, v, k, candidates
+            );
+        }
+    }
+
+    /// The same comparison on arbitrary families of sets over six nodes,
+    /// plus up to two empty sets. Here smallest-first greedy often takes a
+    /// set that blocks the answer, so the minimal-set search decides.
+    #[test]
+    fn disjoint_family_matches_brute_force_on_arbitrary_sets(
+        masks in prop::collection::vec(1u64..64, 0..10),
+        empties in 0usize..3,
+    ) {
+        let mut sets: Vec<NodeSet> = masks
+            .iter()
+            .map(|mask| (0..6).filter(|i| mask >> i & 1 == 1).map(NodeId::new).collect())
+            .collect();
+        sets.extend((0..empties).map(|_| NodeSet::new()));
+        for k in 0..=5 {
+            prop_assert_eq!(
+                paths::has_disjoint_family(sets.clone(), k),
+                disjoint_family_oracle(&sets, k),
+                "k = {}, sets {:?}",
+                k, sets
+            );
+        }
+    }
+}
+
+/// Every copy of a value forged at one node passes through it, so however
+/// many paths carry the copies, no two are disjoint; the direct edge is the
+/// only second member such a family can gain.
+#[test]
+fn paths_through_one_node_never_form_a_pair() {
+    for index in 0..SEARCH_GRAPHS {
+        let g = search_graph(index);
+        let (u, v) = (NodeId::new(0), NodeId::new(g.node_count() / 2));
+        for through in g.nodes().filter(|&w| w != u && w != v) {
+            let mut forged = internal_sets(
+                &paths::all_simple_paths(&g, u, v)
+                    .into_iter()
+                    .filter(|path| path.internal_nodes().any(|w| w == through))
+                    .collect::<Vec<_>>(),
+            );
+            assert!(!forged.is_empty(), "graph {index}, through {through}");
+            assert!(paths::has_disjoint_family(forged.clone(), 1));
+            assert!(!paths::has_disjoint_family(forged.clone(), 2));
+            forged.push(NodeSet::new());
+            assert!(paths::has_disjoint_family(forged.clone(), 2));
+            assert!(!paths::has_disjoint_family(forged, 3));
+        }
+    }
+}
+
+/// On every simple path between two nodes, the search finds exactly the
+/// Menger number of disjoint paths.
+#[test]
+fn all_simple_paths_hold_the_menger_number() {
+    for index in 0..SEARCH_GRAPHS {
+        let g = search_graph(index);
+        let (u, v) = (NodeId::new(0), NodeId::new(g.node_count() / 2));
+        let sets = internal_sets(&paths::all_simple_paths(&g, u, v));
+        let menger = paths::max_disjoint_uv_paths(&g, u, v, usize::MAX);
+        assert!(
+            paths::has_disjoint_family(sets.clone(), menger),
+            "graph {index}"
+        );
+        assert!(
+            !paths::has_disjoint_family(sets, menger + 1),
+            "graph {index}"
+        );
     }
 }

@@ -11,12 +11,17 @@
 #    synchronous Algorithm 1 control on the 5-cycle is correct, and the
 #    *same* 5-cycle under the asynchronous algorithm reproduces agreement
 #    violations — the regime separation, deterministically.
+# 4. The benchmark's async-circulant spec (C9/C11/C13(1,2), f = 1) runs under
+#    --strict at 1 and 2 workers with byte-identical reports. No other gate
+#    runs the async algorithm on more than nine nodes, and the C13
+#    tamper-relays cells are where the Definition C.1 disjoint-path search
+#    works hardest. The gate only reads the spec file.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${LBC_ASYNC_OUT:-target/lbc-async-smoke}"
 rm -rf "$OUT"
-mkdir -p "$OUT/w1" "$OUT/w4"
+mkdir -p "$OUT/w1" "$OUT/w4" "$OUT/circ-w1" "$OUT/circ-w2"
 
 cargo build --release --bin lbc
 
@@ -61,4 +66,9 @@ print(
 )
 EOF
 
-echo "async smoke OK: regime axis deterministic across workers + boundary separation reproduced"
+CIRCULANT=benchmark/workloads/async_circulant.json
+./target/release/lbc campaign "$CIRCULANT" --strict --quiet --workers 1 --out "$OUT/circ-w1"
+./target/release/lbc campaign "$CIRCULANT" --strict --quiet --workers 2 --out "$OUT/circ-w2"
+cmp "$OUT/circ-w1/async_circulant.report.json" "$OUT/circ-w2/async_circulant.report.json"
+
+echo "async smoke OK: regime axis deterministic across workers + boundary separation reproduced + C9-C13 circulants correct"

@@ -3,7 +3,7 @@
 
 use local_broadcast_consensus::model::{AdversarialSchedule, AsyncRegime, SchedulerKind};
 use local_broadcast_consensus::prelude::*;
-use local_broadcast_consensus::sim::{ObserverHandle, TraceSummary};
+use local_broadcast_consensus::sim::{Event, ObserverHandle, TraceSummary};
 use local_broadcast_consensus::{experiments, lowerbound};
 
 /// The paper's headline sufficiency claim, end to end through the facade:
@@ -300,6 +300,61 @@ fn step_accounting_is_pinned_in_both_loops() {
         assert_eq!(unobserved, plain, "{cell}");
         assert_eq!(observed, interfered(plain, tampered, equivocated), "{cell}");
         assert_eq!(chained, plain.transmissions, "{cell}");
+    }
+}
+
+/// The README's κ ≥ 2f+1 claim for the asynchronous algorithm, on the
+/// evidence each node decides on: a value forged at the faulty relay can
+/// occupy at most f disjoint paths, so every correct node reliably receives
+/// every correct origin's input and never its flip.
+#[test]
+fn async_reliable_sets_hold_every_correct_input_under_tampering() {
+    let edge_lag = Regime::Asynchronous(AsyncRegime {
+        scheduler: SchedulerKind::EdgeLag,
+        delay: 4,
+        seed: 7,
+    });
+    for (n, faulty, bits) in [(9, 3, 0b0_1101_1001), (11, 5, 0b101_1001_1010)] {
+        let graph = generators::circulant(n, &[1, 2]);
+        let inputs = InputAssignment::from_bits(n, bits);
+        let faulty = NodeSet::singleton(NodeId::new(faulty));
+        let (observer, events) = ObserverHandle::recorder();
+        let (outcome, _) = runner::run_kind_observed(
+            AlgorithmKind::AsyncFlood,
+            &edge_lag,
+            &graph,
+            1,
+            &inputs,
+            &faulty,
+            &mut Strategy::TamperRelays.into_adversary(),
+            observer,
+        );
+        assert!(outcome.verdict().is_correct(), "C{n}(1,2)");
+        let mut decided = 0;
+        for event in events.borrow().events() {
+            let Event::NodeDecided { node, evidence, .. } = event else {
+                continue;
+            };
+            if faulty.contains(*node) {
+                continue;
+            }
+            decided += 1;
+            for (origin, input) in inputs.iter() {
+                if faulty.contains(origin) {
+                    continue;
+                }
+                assert!(
+                    evidence.contains(&(origin, input)),
+                    "C{n}(1,2): {node} misses {origin}'s input {input}"
+                );
+                assert!(
+                    !evidence.contains(&(origin, input.flipped())),
+                    "C{n}(1,2): {node} accepted {origin}'s forged {}",
+                    input.flipped()
+                );
+            }
+        }
+        assert_eq!(decided, n - 1, "C{n}(1,2)");
     }
 }
 
