@@ -38,10 +38,10 @@ use lbc_model::{
     report_key, ChannelId, DenseBits, FloodLedger, NodeId, NodeSet, Path, PathArena, PathId,
     ReportRecord, Round, SharedFloodLedger, SharedPathArena, Value,
 };
-use lbc_sim::{Delivery, Inbox, NodeContext, Outgoing, Protocol};
+use lbc_sim::{Inbox, NodeContext, Outgoing, Protocol};
 
 use crate::flooding::{validate_path, LedgerFlooder, TAG_REPORT};
-use crate::messages::{Alg2Message, DecisionMsg, FloodMsg, ReportMsg};
+use crate::messages::{Alg2Message, DecisionMsg, ReportMsg};
 
 /// Which role a node ended phase 2 with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -398,19 +398,15 @@ impl Protocol for Algorithm2Node {
         // window (e.g. late phase-1 forwards arriving in a phase-2 round)
         // are dropped, exactly as the previous split-then-ignore did.
         if relative < n {
-            // Phase 1 relaying (rounds 0..n).
-            let value_msgs: Vec<Delivery<FloodMsg>> = inbox
-                .iter()
-                .filter_map(|delivery| match &delivery.message {
-                    Alg2Message::Input(m) => Some(Delivery {
-                        from: delivery.from,
-                        message: *m,
-                    }),
-                    _ => None,
-                })
-                .collect();
+            // Phase 1 relaying (rounds 0..n), each input keeping its slot.
             if let Some(flood) = self.value_flood.as_mut() {
-                let forwards = flood.on_round(ctx.graph, relative == 0, Inbox::direct(&value_msgs));
+                let inputs = inbox
+                    .iter_indexed()
+                    .filter_map(|(slot, d)| match &d.message {
+                        Alg2Message::Input(m) => Some((slot, d.from, m)),
+                        _ => None,
+                    });
+                let forwards = flood.on_round_slots(ctx.graph, relative == 0, inputs);
                 out.extend(
                     forwards
                         .into_iter()
@@ -479,18 +475,14 @@ fn map_outgoing<M, N>(outgoing: Outgoing<M>, wrap: impl Fn(M) -> N) -> Outgoing<
 /// transmission path)` key — but the key's validity, relay id and first
 /// value are receiver-independent, so they live **once per execution** in
 /// the ledger's keyed records: the first receiver anywhere validates and
-/// interns, every other receiver's processing is one key lookup plus bit
-/// operations. Per-node state is a [`DenseBits`] bitset over record indices
-/// plus the accepted-record list (this used to be an `FxHashSet` of four-word
-/// keys and an `FxHashMap` of path vectors *per node*).
+/// interns, and the ledger's slot table hands the lookup to every later
+/// receiver of the same transmission, whose processing is then one verified
+/// entry read plus bit operations. Per-node state is a [`DenseBits`] bitset
+/// over record indices plus the accepted-record list.
 #[derive(Debug, Clone, Default)]
 struct ReportFlood {
     /// The report channel, opened on first use.
     channel: Option<ChannelId>,
-    /// Rounds processed so far: the generation of the ledger's per-round
-    /// slot cache. All nodes advance in lockstep (one `on_round` per
-    /// simulator round), so a generation identifies one shared round buffer.
-    round_generation: u32,
     /// Rule-(ii) membership over shared record indices.
     seen: DenseBits,
     /// Accepted record indices, in arrival order.
@@ -521,14 +513,10 @@ impl ReportFlood {
         inbox: Inbox<'_, Alg2Message>,
         out: &mut Vec<Outgoing<Alg2Message>>,
     ) {
-        // One slot-cache generation per round; advance even when nothing
-        // arrived so generations track rounds across all nodes.
-        self.round_generation += 1;
         if inbox.is_empty() {
             return;
         }
         let channel = self.channel(ctx.ledger);
-        let generation = self.round_generation;
         // Borrow the shared structures once for the whole round, not once
         // per message; consume report messages straight off the zero-clone
         // inbox view.
@@ -544,7 +532,6 @@ impl ReportFlood {
                 channel,
                 ctx.graph,
                 ctx.id,
-                generation,
                 slot,
                 delivery.from,
                 msg,
@@ -554,7 +541,8 @@ impl ReportFlood {
         }
     }
 
-    /// Test-facing single-message entry point (bypasses the slot cache).
+    /// Test-facing single-message entry point. Every message goes through
+    /// slot 0, so a message with another key than the last one misses.
     #[cfg(test)]
     fn process(
         &mut self,
@@ -568,7 +556,7 @@ impl ReportFlood {
         let channel = self.channel(ledger);
         let mut arena = arena.borrow_mut();
         let mut ledger = ledger.borrow_mut();
-        self.process_inner(&mut arena, &mut ledger, channel, graph, me, 0, 0, from, msg)
+        self.process_inner(&mut arena, &mut ledger, channel, graph, me, 0, from, msg)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -579,22 +567,21 @@ impl ReportFlood {
         channel: ChannelId,
         graph: &Graph,
         me: NodeId,
-        generation: u32,
         slot: u32,
         from: NodeId,
         msg: &ReportMsg,
     ) -> Option<ReportMsg> {
         let key = report_key(from, msg.path, msg.observed, msg.observed_path);
-        // Broadcast-once lookup: the first receiver of this round's slot
-        // resolves the key through the map; everyone else reads the slot
-        // cache (one verified cache-line read). A missing record means no
-        // receiver processed this broadcast yet — validate once and publish.
-        let lookup = match ledger.report_lookup_at_slot(channel, slot, generation, &key) {
+        // Broadcast-once lookup: the first receiver of a slot resolves the
+        // key through the map; everyone else reads the slot table (one
+        // verified entry read). A missing record means no receiver processed
+        // this broadcast yet — validate once and publish.
+        let lookup = match ledger.report_lookup_at_slot(channel, slot, &key) {
             Some(found) => found,
             None => {
                 let record = Self::validate(arena, &mut self.validate_scratch, graph, from, msg);
                 let index = ledger.insert_keyed(channel, key, record);
-                ledger.cache_slot(channel, slot, generation, key, index)
+                ledger.cache_slot(channel, slot, key, index)
             }
         };
         if !lookup.valid {

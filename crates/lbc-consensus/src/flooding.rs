@@ -28,11 +28,14 @@
 //!   [`lbc_model::FloodLedger`] (under local broadcast every neighbor
 //!   receives the same first message per `(sender, Π)` key, so per-node
 //!   value maps are redundant; a per-node override map keeps the engine
-//!   exactly per-node-faithful under equivocation-capable models too). A
-//!   per-origin index makes [`LedgerFlooder::received_from`] /
-//!   [`LedgerFlooder::paths_with_value`] indexed lookups instead of
-//!   full-map scans, and lets [`LedgerFlooder::received_along_disjoint_paths`]
-//!   answer Definition C.1 from the relays' member bitsets.
+//!   exactly per-node-faithful under equivocation-capable models too). Each
+//!   transmission is decoded once — rule (i), the relay id, the first-value
+//!   record — and the decode is cached in the ledger's slot table for the
+//!   transmission's other receivers. A per-origin index makes
+//!   [`LedgerFlooder::received_from`] and [`LedgerFlooder::relay_ids_from`]
+//!   indexed lookups instead of full-map scans, and lets
+//!   [`LedgerFlooder::received_along_disjoint_paths`] answer Definition C.1
+//!   from the relays' member bitsets.
 //! * [`NaiveFlooder`] — the pre-interning reference engine (`BTreeMap` keyed
 //!   by cloned [`Path`]s), kept as the oracle for the equivalence tests and
 //!   the `naive` benchmark variants.
@@ -44,8 +47,8 @@ use std::collections::BTreeMap;
 
 use lbc_graph::{paths, Graph};
 use lbc_model::{
-    ChannelId, DenseBits, NodeId, NodeSet, Path, PathArena, PathId, SharedFloodLedger,
-    SharedPathArena, Value,
+    ChannelId, DenseBits, FloodLedger, NodeId, NodeSet, Path, PathArena, PathId, RelayDecode,
+    SharedFloodLedger, SharedPathArena, Value,
 };
 use lbc_sim::{ByzantineMessage, Inbox, Outgoing};
 
@@ -107,6 +110,52 @@ pub(crate) fn validate_path(
     all_valid
 }
 
+/// The receiver-independent part of rules (i)–(iv) for the transmission
+/// `msg` from `from`: rule (i)'s verdict, the interned relay id `Π‑from`,
+/// its origin and low member word, and the first value `channel` records
+/// for the relay (recorded here if this is the first). Every receiver of one
+/// broadcast would compute the same result, so [`LedgerFlooder::on_round`]
+/// runs it once per transmission and caches it in the ledger's slot table;
+/// the missing-initiation defaults, which have no slot, call it directly.
+fn decode(
+    arena: &mut PathArena,
+    ledger: &mut FloodLedger,
+    scratch: &mut Vec<PathId>,
+    graph: &Graph,
+    channel: ChannelId,
+    from: NodeId,
+    msg: &FloodMsg,
+) -> RelayDecode {
+    // Rule (i): the relay path Π‑u must exist in G. Equivalent to: Π is a
+    // (simple) path of G, u is a valid node not on Π, and u is adjacent to
+    // Π's last node. Validation reads the arena's shared memo, so the common
+    // case is a single array read.
+    if !graph.contains_node(from)
+        || !validate_path(arena, scratch, graph, msg.path)
+        || arena.contains(msg.path, from)
+        || arena
+            .last(msg.path)
+            .is_some_and(|last| !graph.has_edge(last, from))
+    {
+        return RelayDecode::INVALID;
+    }
+    let relay = arena.extended(msg.path, from);
+    // Π‑u passed the same checks as Π, so it is a graph path; memoize.
+    arena.set_path_validity(relay, true);
+    RelayDecode {
+        valid: true,
+        relay,
+        origin: arena.first(relay).expect("relay path contains the sender"),
+        relay_members_low: arena
+            .members(relay)
+            .as_words()
+            .first()
+            .copied()
+            .unwrap_or(0),
+        first: ledger.record_relay(channel, relay, msg.value),
+    }
+}
+
 /// The production flood engine: per-phase flooding state of a single node,
 /// built on the shared flood fabric.
 ///
@@ -122,9 +171,13 @@ pub(crate) fn validate_path(
 /// speed: each distinct broadcast is recorded **once per execution** in the
 /// shared [`lbc_model::FloodLedger`] (keyed by the interned relay id
 /// `Π‑u`), and per-node rule-(ii) state collapses to a [`DenseBits`] bitset
-/// over relay ids. The first node to process a broadcast inserts the ledger
-/// record; every other receiver pays one dense-array lookup plus bit
-/// operations on memoized bitsets.
+/// over relay ids. The first receiver of a transmission decodes it — rule
+/// (i), the relay id, its origin and member word, the first-value record —
+/// and caches the decode in the ledger's slot table under the
+/// transmission's inbox slot. Every other receiver finds it there with one
+/// verified entry read and does only its per-node work: the rule-(ii) bit,
+/// an override if its value differs from the first one recorded, rule (iii)
+/// from the member word, and the per-origin index push.
 ///
 /// Sharing is an optimization, not an assumption: when a node's own first
 /// value for a key differs from the ledger record (possible only under
@@ -158,7 +211,7 @@ pub struct LedgerFlooder {
     /// Per-origin index over the received (rule-(iv)-accepted) relay ids —
     /// the full path minus the trailing `me` — in arrival order, densely
     /// indexed by origin. This is what turns `received_from` /
-    /// `paths_with_value` into indexed lookups instead of scans over every
+    /// `relay_ids_from` into indexed lookups instead of scans over every
     /// received path. The node's own value sits under the empty relay path
     /// at index `me`.
     by_origin: Vec<Vec<PathId>>,
@@ -287,25 +340,72 @@ impl LedgerFlooder {
         first_round: bool,
         inbox: Inbox<'_, FloodMsg>,
     ) -> Vec<Outgoing<FloodMsg>> {
+        let deliveries = inbox
+            .iter_indexed()
+            .map(|(slot, delivery)| (slot, delivery.from, &delivery.message));
+        self.on_round_slots(graph, first_round, deliveries)
+    }
+
+    /// [`LedgerFlooder::on_round`] over `(slot, sender, message)` triples,
+    /// for protocols whose inbox carries other messages too. Pass each
+    /// transmission's slot in the shared buffer ([`Inbox::iter_indexed`]):
+    /// receivers that pass the same slot for the same transmission share
+    /// its decode. Any numbering is correct, since the ledger checks every
+    /// entry against its full key.
+    pub fn on_round_slots<'m>(
+        &mut self,
+        graph: &Graph,
+        first_round: bool,
+        deliveries: impl IntoIterator<Item = (u32, NodeId, &'m FloodMsg)>,
+    ) -> Vec<Outgoing<FloodMsg>> {
+        // Borrow the shared structures once for the whole round, not once
+        // per delivery.
+        let (arena, ledger) = (self.arena.clone(), self.ledger.clone());
+        let mut arena = arena.borrow_mut();
+        let mut ledger = ledger.borrow_mut();
+        let channel = self.channel;
         let mut out = Vec::new();
-        for delivery in inbox.iter() {
+        for (slot, from, msg) in deliveries {
+            let decoded = match ledger.relay_decode_at_slot(channel, slot, from, msg.path) {
+                Some(cached) => cached,
+                None => {
+                    let decoded = decode(
+                        &mut arena,
+                        &mut ledger,
+                        &mut self.validate_scratch,
+                        graph,
+                        channel,
+                        from,
+                        msg,
+                    );
+                    ledger.cache_relay_decode(channel, slot, from, msg.path, decoded);
+                    decoded
+                }
+            };
             out.extend(
-                self.process(graph, delivery.from, &delivery.message)
+                self.receive(&arena, decoded, msg.value)
                     .map(Outgoing::Broadcast),
             );
         }
         if first_round && !self.defaults_injected {
             self.defaults_injected = true;
+            let default = FloodMsg::initiation(Value::DEFAULT_FLOOD);
             for neighbor in graph.neighbors(self.me) {
-                let initiation_seen = self
-                    .arena
-                    .borrow()
+                let initiation_seen = arena
                     .find_child(PathId::EMPTY, neighbor)
                     .is_some_and(|relay| self.seen.contains(relay.index()));
                 if !initiation_seen {
-                    let default = FloodMsg::initiation(Value::DEFAULT_FLOOD);
+                    let decoded = decode(
+                        &mut arena,
+                        &mut ledger,
+                        &mut self.validate_scratch,
+                        graph,
+                        channel,
+                        neighbor,
+                        &default,
+                    );
                     out.extend(
-                        self.process(graph, neighbor, &default)
+                        self.receive(&arena, decoded, default.value)
                             .map(Outgoing::Broadcast),
                     );
                 }
@@ -314,60 +414,45 @@ impl LedgerFlooder {
         out
     }
 
-    /// Applies rules (i)–(iv) to a single message received from `from`,
-    /// returning the forward to broadcast, if any.
-    fn process(&mut self, graph: &Graph, from: NodeId, msg: &FloodMsg) -> Option<FloodMsg> {
-        // Rule (i): the relay path Π‑u must exist in G. Equivalent to: Π is a
-        // (simple) path of G, u is a valid node not on Π, and u is adjacent
-        // to Π's last node. Validation reads the arena's shared memo, so the
-        // common case is a single array read.
-        let mut arena = self.arena.borrow_mut();
-        if !graph.contains_node(from)
-            || !validate_path(&mut arena, &mut self.validate_scratch, graph, msg.path)
-            || arena.contains(msg.path, from)
-        {
+    /// Applies this node's part of rules (ii)–(iv) to a decoded
+    /// transmission carrying `value`, returning the forward to broadcast,
+    /// if any.
+    fn receive(
+        &mut self,
+        arena: &PathArena,
+        decoded: RelayDecode,
+        value: Value,
+    ) -> Option<FloodMsg> {
+        // Rule (i), decided once per transmission.
+        if !decoded.valid {
             return None;
         }
-        if let Some(last) = arena.last(msg.path) {
-            if !graph.has_edge(last, from) {
-                return None;
-            }
-        }
-        // Rules (ii) and (iii): the relay id Π‑u *is* the (sender, path)
-        // key, so rule (ii) is one bit test on the per-node bitset. Every
-        // message that passes rule (i) is recorded, whether rule (iii) then
-        // discards it or not.
-        let relay = arena.extended(msg.path, from);
+        // Rule (ii): the relay id Π‑u *is* the (sender, path) key, so the
+        // rule is one bit test on the per-node bitset. Every message that
+        // passes rule (i) is recorded, whether rule (iii) then discards it
+        // or not.
+        let relay = decoded.relay;
         if !self.seen.insert(relay.index()) {
             return None;
         }
-        // Π‑u passed the same checks as Π, so it is a graph path; memoize.
-        arena.set_path_validity(relay, true);
-        let contains_me = arena.contains(relay, self.me);
-        let origin = arena.first(relay).expect("relay path contains the sender");
-        drop(arena);
-        // Broadcast-once record: the first receiver anywhere stores the
-        // value; everyone else compares against it. A mismatch (possible
+        // The ledger holds the broadcast's first value. A mismatch (possible
         // only under equivocation-capable channels) becomes a per-node
         // override so queries keep answering with *this node's* view.
-        let first = self.ledger.record_relay(self.channel, relay, msg.value);
-        if first != msg.value {
-            self.overrides.insert(relay, msg.value);
+        if value != decoded.first {
+            self.overrides.insert(relay, value);
         }
         // Rule (iii): discard if the relay path Π‑u already contains me.
-        if contains_me {
+        if decoded.relay_contains(self.me, || arena.contains(relay, self.me)) {
             return None;
         }
         // Rule (iv): record the relay in the per-origin index and forward.
-        if self.by_origin.len() <= origin.index() {
-            self.by_origin.resize(origin.index() + 1, Vec::new());
+        let origin = decoded.origin.index();
+        if self.by_origin.len() <= origin {
+            self.by_origin.resize(origin + 1, Vec::new());
         }
-        self.by_origin[origin.index()].push(relay);
+        self.by_origin[origin].push(relay);
         self.received_total += 1;
-        Some(FloodMsg {
-            value: msg.value,
-            path: relay,
-        })
+        Some(FloodMsg { value, path: relay })
     }
 
     /// This node's first-received value for a seen relay key (override if
@@ -466,21 +551,6 @@ impl LedgerFlooder {
         entries
     }
 
-    /// The full paths from `origin` along which this node received `value`,
-    /// in lexicographic path order.
-    #[must_use]
-    pub fn paths_with_value(&self, origin: NodeId, value: Value) -> Vec<Path> {
-        let arena = self.arena.borrow();
-        let mut paths: Vec<Path> = self
-            .relay_ids_from(origin)
-            .iter()
-            .filter(|id| self.relay_value(&arena, **id) == Some(value))
-            .map(|id| self.resolve_full(&arena, *id))
-            .collect();
-        paths.sort();
-        paths
-    }
-
     /// Definition C.1's path test: whether this node received `value` from
     /// `origin` along `k` pairwise internally disjoint paths. Reads the
     /// relays' memoized member sets and resolves no path: the internal nodes
@@ -502,54 +572,13 @@ impl LedgerFlooder {
         paths::has_disjoint_family(internal, k)
     }
 
-    /// The full paths from `origin` delivering `value` that *exclude* the
-    /// set `exclude` (no internal node in `exclude`). The exclusion test runs
-    /// on the interned relay ids (memoized member bitsets) before any path
-    /// is resolved.
-    #[must_use]
-    pub fn paths_with_value_excluding(
-        &self,
-        origin: NodeId,
-        value: Value,
-        exclude: &NodeSet,
-    ) -> Vec<Path> {
-        let arena = self.arena.borrow();
-        let mut paths: Vec<Path> = self
-            .relay_ids_from(origin)
-            .iter()
-            .filter(|id| {
-                self.relay_value(&arena, **id) == Some(value) && arena.tail_excludes(**id, exclude)
-            })
-            .map(|id| self.resolve_full(&arena, *id))
-            .collect();
-        paths.sort();
-        paths
-    }
-
-    /// Every `(sender, path, value)` accepted under rule (ii) from direct
-    /// neighbors — i.e. everything this node *overheard*, which is exactly
-    /// what Algorithm 2's phase 2 reports on. Sorted by `(sender, path)` as
-    /// the pre-interning engine's `BTreeMap` iteration was.
-    #[must_use]
-    pub fn overheard(&self) -> Vec<(NodeId, Path, Value)> {
-        let arena = self.arena.borrow();
-        self.overheard_ids_inner(&arena)
-            .into_iter()
-            .map(|(from, path, value)| (from, arena.resolve(path), value))
-            .collect()
-    }
-
-    /// The overheard `(sender, path id, value)` triples, sorted by
-    /// `(sender, path)` — the id-carrying counterpart of
-    /// [`LedgerFlooder::overheard`], used to build Algorithm 2's phase-2
-    /// reports without cloning paths.
+    /// Every `(sender, path id, value)` accepted under rule (ii) from direct
+    /// neighbors — everything this node *overheard*, which is exactly what
+    /// Algorithm 2's phase 2 reports on. Sorted by `(sender, path)`, as the
+    /// reference engine's `BTreeMap` iteration is.
     #[must_use]
     pub fn overheard_ids(&self) -> Vec<(NodeId, PathId, Value)> {
         let arena = self.arena.borrow();
-        self.overheard_ids_inner(&arena)
-    }
-
-    fn overheard_ids_inner(&self, arena: &PathArena) -> Vec<(NodeId, PathId, Value)> {
         let mut entries: Vec<(NodeId, PathId, Value)> = self
             .seen
             .ones()
@@ -565,7 +594,7 @@ impl LedgerFlooder {
 
     /// Whether this node overheard `observed` transmit exactly `(value, Π)`,
     /// with `Π` given as an interned id — the indexed counterpart of
-    /// scanning [`LedgerFlooder::overheard`].
+    /// scanning [`LedgerFlooder::overheard_ids`].
     #[must_use]
     pub fn overheard_exactly(&self, observed: NodeId, path: PathId, value: Value) -> bool {
         let relay = self.arena.borrow().find_child(path, observed);
@@ -717,7 +746,8 @@ impl NaiveFlooder {
             .collect()
     }
 
-    /// See [`LedgerFlooder::paths_with_value`] — here a full-map scan.
+    /// The full paths from `origin` along which this node received `value`,
+    /// in lexicographic path order — a full-map scan.
     #[must_use]
     pub fn paths_with_value(&self, origin: NodeId, value: Value) -> Vec<Path> {
         self.received
@@ -727,21 +757,8 @@ impl NaiveFlooder {
             .collect()
     }
 
-    /// See [`LedgerFlooder::paths_with_value_excluding`].
-    #[must_use]
-    pub fn paths_with_value_excluding(
-        &self,
-        origin: NodeId,
-        value: Value,
-        exclude: &NodeSet,
-    ) -> Vec<Path> {
-        self.paths_with_value(origin, value)
-            .into_iter()
-            .filter(|p| p.excludes(exclude))
-            .collect()
-    }
-
-    /// See [`LedgerFlooder::overheard`].
+    /// Every `(sender, path, value)` accepted under rule (ii); see
+    /// [`LedgerFlooder::overheard_ids`].
     #[must_use]
     pub fn overheard(&self) -> Vec<(NodeId, Path, Value)> {
         self.seen
@@ -900,7 +917,7 @@ mod tests {
     }
 
     #[test]
-    fn received_from_and_paths_with_value_filter_by_origin() {
+    fn received_from_and_relay_ids_filter_by_origin() {
         let g = generators::cycle(5);
         let (arena, mut flooder) = started(2, Value::Zero);
         let _ = flooder.on_round(
@@ -914,13 +931,20 @@ mod tests {
         let from0 = flooder.received_from(n(0));
         assert_eq!(from0.len(), 1);
         assert_eq!(from0[0].1, Value::One);
-        assert_eq!(flooder.paths_with_value(n(4), Value::Zero).len(), 1);
-        assert!(flooder.paths_with_value(n(4), Value::One).is_empty());
-        // Excluding the internal node 3 removes the only path from 4.
+        // The full paths from 4 are its relays plus the trailing me.
+        let from4: Vec<(Path, Option<Value>)> = flooder
+            .relay_ids_from(n(4))
+            .iter()
+            .map(|relay| {
+                let full = arena.resolve(*relay).extended(n(2));
+                (full, flooder.value_along_relay(*relay))
+            })
+            .collect();
+        let via3 = Path::from_nodes([n(4), n(3), n(2)]);
+        assert_eq!(from4, vec![(via3.clone(), Some(Value::Zero))]);
+        // Its internal node 3 is what an exclusion of {3} rules out.
         let excl: NodeSet = [n(3)].into_iter().collect();
-        assert!(flooder
-            .paths_with_value_excluding(n(4), Value::Zero, &excl)
-            .is_empty());
+        assert!(!via3.excludes(&excl));
     }
 
     #[test]
@@ -932,14 +956,56 @@ mod tests {
             true,
             Inbox::direct(&[deliver(&arena, 1, Value::One, &[])]),
         );
-        let overheard = flooder.overheard();
+        let overheard = flooder.overheard_ids();
         // Node 1's initiation plus the injected default for node 3.
-        assert_eq!(overheard.len(), 2);
-        assert!(overheard
-            .iter()
-            .any(|(from, path, value)| *from == n(1) && path.is_empty() && *value == Value::One));
+        assert_eq!(
+            overheard,
+            vec![
+                (n(1), PathId::EMPTY, Value::One),
+                (n(3), PathId::EMPTY, Value::DEFAULT_FLOOD),
+            ]
+        );
         assert!(flooder.overheard_exactly(n(1), PathId::EMPTY, Value::One));
         assert!(!flooder.overheard_exactly(n(1), PathId::EMPTY, Value::Zero));
+    }
+
+    #[test]
+    fn later_receivers_of_a_slot_reuse_its_decode() {
+        // Nodes 1 and 3 of the 5-cycle both hear node 2's forward of node
+        // 0's value (one transmission, one slot). The second receiver is
+        // served from the slot table and must end in the same state as a
+        // receiver that decodes the transmission itself.
+        let g = generators::cycle(5);
+        let arena = SharedPathArena::new();
+        let ledger = SharedFloodLedger::new();
+        let start = |me| LedgerFlooder::start(arena.clone(), ledger.clone(), n(me), Value::Zero).0;
+        let (mut at1, mut at3) = (start(1), start(3));
+        let buffer = [deliver(&arena, 2, Value::One, &[0, 1])];
+        let _ = at1.on_round(&g, false, Inbox::indexed(&buffer, &[0]));
+        let relay = arena.find(&Path::from_nodes([n(0), n(1), n(2)])).unwrap();
+        let cached = ledger
+            .borrow()
+            .relay_decode_at_slot(at1.channel, 0, n(2), buffer[0].message.path)
+            .expect("the first receiver filled the slot");
+        assert!(cached.valid);
+        assert_eq!(
+            (cached.relay, cached.origin, cached.first),
+            (relay, n(0), Value::One)
+        );
+        let out = at3.on_round(&g, false, Inbox::indexed(&buffer, &[0]));
+        assert_eq!(
+            out,
+            vec![Outgoing::Broadcast(FloodMsg {
+                value: Value::One,
+                path: relay,
+            })]
+        );
+        assert_eq!(at3.relay_ids_from(n(0)), &[relay]);
+        assert_eq!(at3.value_along_relay(relay), Some(Value::One));
+        // Node 1 is on the relay path, so it recorded the key (rule (ii))
+        // but did not receive along it (rule (iii)).
+        assert!(at1.relay_ids_from(n(0)).is_empty());
+        assert!(at1.overheard_exactly(n(2), buffer[0].message.path, Value::One));
     }
 
     #[test]

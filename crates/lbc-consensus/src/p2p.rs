@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 
 use lbc_model::{NodeId, PathId, Round, Value};
-use lbc_sim::{ByzantineMessage, Delivery, Inbox, MessageView, NodeContext, Outgoing, Protocol};
+use lbc_sim::{ByzantineMessage, Inbox, MessageView, NodeContext, Outgoing, Protocol};
 
 use crate::flooding::{LedgerFlooder, TAG_VALUE};
 use crate::messages::FloodMsg;
@@ -270,21 +270,17 @@ impl Protocol for P2pBaselineNode {
         let relative = self.round_counter % n;
         self.round_counter += 1;
 
-        // Relay the current step's flood.
+        // Relay the current step's flood, each delivery keeping its slot.
         let current_step = self.step;
-        let step_inbox: Vec<Delivery<FloodMsg>> = inbox
-            .iter()
-            .filter(|d| d.message.step == current_step)
-            .map(|d| Delivery {
-                from: d.from,
-                message: d.message.inner,
-            })
-            .collect();
         let mut out = Vec::new();
         if let Some(flooder) = self.flooder.as_mut() {
+            let step_deliveries = inbox
+                .iter_indexed()
+                .filter(|(_, d)| d.message.step == current_step)
+                .map(|(slot, d)| (slot, d.from, &d.message.inner));
             // No default substitution: silence is legitimate in propose/king
             // steps and handled by the counting rules in vote steps.
-            let forwards = flooder.on_round(ctx.graph, false, Inbox::direct(&step_inbox));
+            let forwards = flooder.on_round_slots(ctx.graph, false, step_deliveries);
             out.extend(forwards.into_iter().map(|o| wrap(o, current_step)));
         }
 
@@ -380,6 +376,43 @@ mod tests {
         let t = m.tampered();
         assert_eq!(t.step, 2);
         assert_eq!(t.inner.value, Value::One);
+    }
+
+    #[test]
+    fn a_neighbor_heard_only_directly_is_accepted() {
+        // K4, f = 1: Definition C.1 asks for f + 1 = 2 disjoint paths. Node
+        // 1's vote reaches node 0 on the direct edge only, which is one
+        // path; hearing a neighbor directly must still count.
+        let graph = lbc_graph::generators::complete(4);
+        let arena = lbc_model::SharedPathArena::new();
+        let ledger = lbc_model::SharedFloodLedger::new();
+        let observer = lbc_sim::ObserverHandle::disabled();
+        let ctx = NodeContext {
+            id: NodeId::new(0),
+            graph: &graph,
+            f: 1,
+            regime: &lbc_model::Regime::Synchronous,
+            step: None,
+            arena: &arena,
+            ledger: &ledger,
+            observer: &observer,
+        };
+        let mut node = P2pBaselineNode::new(Value::Zero);
+        let _ = node.on_start(&ctx);
+        let vote = [lbc_sim::Delivery {
+            from: NodeId::new(1),
+            message: P2pMessage {
+                step: 0,
+                inner: FloodMsg::initiation(Value::One),
+            },
+        }];
+        let _ = node.on_round(&ctx, Round::ZERO, Inbox::direct(&vote));
+        let flooder = node.flooder.as_ref().expect("step 0 is flooding");
+        assert!(!flooder.received_along_disjoint_paths(NodeId::new(1), Value::One, 2));
+        let accepted = node.accepted_values(&ctx);
+        assert_eq!(accepted.get(&NodeId::new(1)), Some(&Value::One));
+        // The own value, and nothing from the silent nodes 2 and 3.
+        assert_eq!(accepted.len(), 2);
     }
 
     #[test]

@@ -10,10 +10,17 @@
 //! * [`LedgerFlooder`] — the production shared-fabric engine,
 //! * [`NaiveFlooder`] — the pre-interning reference.
 //!
+//! Each round is delivered as the simulator delivers it: one shared buffer
+//! with one slot per transmission, in sender order, and per-node slot lists.
+//! Every receiver of a transmission sees the same slot, so all but the first
+//! are served from the ledger's slot table, and the comparison checks those
+//! cached hits against the reference.
+//!
 //! Scripts cover the fault-free case, relay tampering, attempted
-//! equivocation (suppressed by rule (ii)), omission (silent nodes and
-//! default injection), and divergent per-receiver deliveries (the situation
-//! where the ledger's per-node overrides must carry the engine). Every
+//! equivocation (suppressed by rule (ii); the two copies are two slots with
+//! one `(sender, path)` key), omission (silent nodes and default injection),
+//! and divergent per-receiver deliveries (the situation where the ledger's
+//! per-node overrides must carry the engine). Every
 //! whole-graph script also compares Definition C.1's path test for every
 //! node, origin, value and `k = 1..=3`: the production engine's answer
 //! from its relays' member sets against an exhaustive search over the
@@ -90,7 +97,7 @@ trait Engine: Sized {
         &mut self,
         graph: &Graph,
         first: bool,
-        inbox: &[Delivery<Self::Msg>],
+        inbox: Inbox<'_, Self::Msg>,
     ) -> Vec<(Value, Vec<NodeId>)>;
     fn received_from(&self, origin: NodeId) -> Vec<(Path, Value)>;
     fn overheard(&self) -> Vec<(NodeId, Path, Value)>;
@@ -138,9 +145,9 @@ impl Engine for LedgerFlooder {
         &mut self,
         graph: &Graph,
         first: bool,
-        inbox: &[Delivery<FloodMsg>],
+        inbox: Inbox<'_, FloodMsg>,
     ) -> Vec<(Value, Vec<NodeId>)> {
-        let out = self.on_round(graph, first, Inbox::direct(inbox));
+        let out = self.on_round(graph, first, inbox);
         let (arena, _) = shared();
         resolve_out(&arena, &out)
     }
@@ -150,7 +157,8 @@ impl Engine for LedgerFlooder {
     }
 
     fn overheard(&self) -> Vec<(NodeId, Path, Value)> {
-        LedgerFlooder::overheard(self)
+        let (arena, _) = shared();
+        ledger_overheard(&arena, self)
     }
 
     fn received_count(&self) -> usize {
@@ -188,9 +196,9 @@ impl Engine for NaiveFlooder {
         &mut self,
         graph: &Graph,
         first: bool,
-        inbox: &[Delivery<NaiveFloodMsg>],
+        inbox: Inbox<'_, NaiveFloodMsg>,
     ) -> Vec<(Value, Vec<NodeId>)> {
-        self.on_round(graph, first, Inbox::direct(inbox))
+        self.on_round(graph, first, inbox)
             .iter()
             .map(|o| match o {
                 Outgoing::Broadcast(m) => (m.value, m.path.nodes().to_vec()),
@@ -241,6 +249,61 @@ fn brute_force_disjoint_paths(paths: &[Path], k: usize) -> bool {
     pick(&masks, k, 0)
 }
 
+/// The ledger engine's overheard `(sender, path, value)` triples, resolved.
+fn ledger_overheard(
+    arena: &SharedPathArena,
+    flooder: &LedgerFlooder,
+) -> Vec<(NodeId, Path, Value)> {
+    flooder
+        .overheard_ids()
+        .into_iter()
+        .map(|(from, path, value)| (from, arena.resolve(path), value))
+        .collect()
+}
+
+/// The ledger engine's full paths from `origin` that delivered `value` to
+/// `me`, in lexicographic order: each indexed relay plus the trailing `me`.
+fn ledger_paths_with_value(
+    arena: &SharedPathArena,
+    flooder: &LedgerFlooder,
+    me: NodeId,
+    origin: NodeId,
+    value: Value,
+) -> Vec<Path> {
+    let mut paths: Vec<Path> = flooder
+        .relay_ids_from(origin)
+        .iter()
+        .filter(|relay| flooder.value_along_relay(**relay) == Some(value))
+        .map(|relay| arena.resolve(*relay).extended(me))
+        .collect();
+    paths.sort();
+    paths
+}
+
+/// One round of local-broadcast delivery, laid out as the simulator lays it
+/// out: each transmission is one slot of a shared buffer, in sender order,
+/// and each node's inbox lists the slots of its neighbors' transmissions.
+fn broadcast_round<M: Clone>(
+    graph: &Graph,
+    outgoing: &[Vec<M>],
+) -> (Vec<Delivery<M>>, Vec<Vec<u32>>) {
+    let mut buffer = Vec::new();
+    let mut slots = vec![Vec::new(); graph.node_count()];
+    for (sender, messages) in outgoing.iter().enumerate() {
+        for message in messages {
+            let slot = u32::try_from(buffer.len()).expect("round buffer fits u32 slots");
+            buffer.push(Delivery {
+                from: n(sender),
+                message: message.clone(),
+            });
+            for neighbor in graph.neighbors(n(sender)) {
+                slots[neighbor.index()].push(slot);
+            }
+        }
+    }
+    (buffer, slots)
+}
+
 fn resolve_out(arena: &SharedPathArena, out: &[Outgoing<FloodMsg>]) -> Vec<(Value, Vec<NodeId>)> {
     out.iter()
         .map(|o| match o {
@@ -279,23 +342,21 @@ fn run_engine<E: Engine>(
         }
         transcript_rounds.push(record);
 
-        // Deliver to all neighbors, in sender order.
-        let mut inboxes: Vec<Vec<Delivery<E::Msg>>> = (0..node_count).map(|_| Vec::new()).collect();
-        for (sender, msgs) in pending.iter().enumerate() {
-            for (value, path) in msgs {
-                let message = flooders[sender].make_msg(*value, path);
-                for neighbor in graph.neighbors(n(sender)) {
-                    inboxes[neighbor.index()].push(Delivery {
-                        from: n(sender),
-                        message: message.clone(),
-                    });
-                }
-            }
-        }
+        // Deliver to all neighbors through one shared buffer.
+        let outgoing: Vec<Vec<E::Msg>> = pending
+            .iter()
+            .enumerate()
+            .map(|(sender, msgs)| {
+                msgs.iter()
+                    .map(|(value, path)| flooders[sender].make_msg(*value, path))
+                    .collect()
+            })
+            .collect();
+        let (buffer, slots) = broadcast_round(graph, &outgoing);
 
         let mut next_pending = Vec::with_capacity(node_count);
         for (v, flooder) in flooders.iter_mut().enumerate() {
-            let msgs = flooder.run_round(graph, round == 0, &inboxes[v]);
+            let msgs = flooder.run_round(graph, round == 0, Inbox::indexed(&buffer, &slots[v]));
             next_pending.push(apply_fault(fault, n(v), round + 1, msgs));
         }
         pending = next_pending;
@@ -481,7 +542,9 @@ proptest::proptest! {
 /// hybrid equivocators). The ledger records one first value; each node's
 /// queries must still answer with the node's *own* first value — this is
 /// the per-node override path that keeps sharing sound beyond local
-/// broadcast.
+/// broadcast. Both direct inboxes put their copy at position 0 under the
+/// same `(sender, path)` key, so node 3 is served node 1's cached decode and
+/// must still keep its own value as an override.
 #[test]
 fn ledger_overrides_keep_divergent_views_per_node() {
     let graph = generators::cycle(5);
@@ -515,8 +578,8 @@ fn ledger_overrides_keep_divergent_views_per_node() {
     assert_eq!(at3.value_along(&via2_at3), Some(Value::Zero));
     assert_eq!(at1.value_along(&via2_at1), control1.value_along(&via2_at1));
     assert_eq!(at3.value_along(&via2_at3), control3.value_along(&via2_at3));
-    assert_eq!(at1.overheard(), control1.overheard());
-    assert_eq!(at3.overheard(), control3.overheard());
+    assert_eq!(ledger_overheard(&arena, &at1), control1.overheard());
+    assert_eq!(ledger_overheard(&arena, &at3), control3.overheard());
 }
 
 #[test]
@@ -552,21 +615,28 @@ fn ledger_restart_behaves_like_a_fresh_start() {
     assert_eq!(init, fresh_init);
     assert_eq!(reused.received_count(), fresh.received_count());
     assert_eq!(reused.own_value(), fresh.own_value());
-    assert_eq!(reused.overheard(), fresh.overheard());
+    assert_eq!(
+        ledger_overheard(&arena, &reused),
+        ledger_overheard(&arena, &fresh)
+    );
 
     let out_reused = reused.on_round(&graph, true, Inbox::direct(&inbox));
     let out_fresh = fresh.on_round(&graph, true, Inbox::direct(&inbox));
     assert_eq!(out_reused, out_fresh);
     assert_eq!(reused.received_from(n(0)), fresh.received_from(n(0)));
     assert_eq!(reused.received_from(n(4)), fresh.received_from(n(4)));
-    assert_eq!(reused.overheard(), fresh.overheard());
+    assert_eq!(
+        ledger_overheard(&arena, &reused),
+        ledger_overheard(&arena, &fresh)
+    );
 }
 
 #[test]
 fn query_accessors_agree_value_by_value() {
     // Beyond transcript equality: spot-check the query APIs (value_along,
-    // paths_with_value(_excluding), overheard(_ids), overheard_exactly) on
-    // the clique where many paths exist.
+    // overheard_ids, overheard_exactly, and the per-origin relay index the
+    // paths with a given value derive from) on the clique where many paths
+    // exist.
     let graph = generators::complete(5);
     let inputs = alternating_inputs(5);
     let (arena, ledger) = fresh_shared();
@@ -582,46 +652,29 @@ fn query_accessors_agree_value_by_value() {
         naive.push(f);
         pending_n.push(out);
     }
+    fn messages<M: Clone>(pending: &[Vec<Outgoing<M>>]) -> Vec<Vec<M>> {
+        pending
+            .iter()
+            .map(|out| out.iter().map(|o| o.message().clone()).collect())
+            .collect()
+    }
     for round in 0..5 {
-        let mut inboxes_l: Vec<Vec<Delivery<FloodMsg>>> = vec![Vec::new(); 5];
-        let mut inboxes_n: Vec<Vec<Delivery<NaiveFloodMsg>>> = vec![Vec::new(); 5];
-        for sender in 0..5 {
-            for o in &pending_l[sender] {
-                if let Outgoing::Broadcast(m) = o {
-                    for neighbor in graph.neighbors(n(sender)) {
-                        inboxes_l[neighbor.index()].push(Delivery {
-                            from: n(sender),
-                            message: *m,
-                        });
-                    }
-                }
-            }
-            for o in &pending_n[sender] {
-                if let Outgoing::Broadcast(m) = o {
-                    for neighbor in graph.neighbors(n(sender)) {
-                        inboxes_n[neighbor.index()].push(Delivery {
-                            from: n(sender),
-                            message: m.clone(),
-                        });
-                    }
-                }
-            }
-        }
+        let (buffer_l, slots_l) = broadcast_round(&graph, &messages(&pending_l));
+        let (buffer_n, slots_n) = broadcast_round(&graph, &messages(&pending_n));
         for v in 0..5 {
-            pending_l[v] = ledgered[v].on_round(&graph, round == 0, Inbox::direct(&inboxes_l[v]));
-            pending_n[v] = naive[v].on_round(&graph, round == 0, Inbox::direct(&inboxes_n[v]));
+            let inbox_l = Inbox::indexed(&buffer_l, &slots_l[v]);
+            let inbox_n = Inbox::indexed(&buffer_n, &slots_n[v]);
+            pending_l[v] = ledgered[v].on_round(&graph, round == 0, inbox_l);
+            pending_n[v] = naive[v].on_round(&graph, round == 0, inbox_n);
         }
     }
-    let exclude: NodeSet = [n(1), n(3)].into_iter().collect();
     for v in 0..5 {
         let overheard = naive[v].overheard();
-        assert_eq!(ledgered[v].overheard(), overheard, "overheard(v{v})");
-        let resolved: Vec<(NodeId, Path, Value)> = ledgered[v]
-            .overheard_ids()
-            .into_iter()
-            .map(|(from, path, value)| (from, arena.resolve(path), value))
-            .collect();
-        assert_eq!(resolved, overheard, "overheard_ids(v{v})");
+        assert_eq!(
+            ledger_overheard(&arena, &ledgered[v]),
+            overheard,
+            "overheard_ids(v{v})"
+        );
         for (from, path, value) in overheard {
             let path = arena.intern(&path);
             assert!(ledgered[v].overheard_exactly(from, path, value));
@@ -630,14 +683,9 @@ fn query_accessors_agree_value_by_value() {
         for origin in 0..5 {
             for value in [Value::Zero, Value::One] {
                 assert_eq!(
-                    ledgered[v].paths_with_value(n(origin), value),
+                    ledger_paths_with_value(&arena, &ledgered[v], n(v), n(origin), value),
                     naive[v].paths_with_value(n(origin), value),
-                    "paths_with_value(v{v}, origin v{origin}, {value})"
-                );
-                assert_eq!(
-                    ledgered[v].paths_with_value_excluding(n(origin), value, &exclude),
-                    naive[v].paths_with_value_excluding(n(origin), value, &exclude),
-                    "paths_with_value_excluding(v{v}, origin v{origin}, {value})"
+                    "paths with value (v{v}, origin v{origin}, {value})"
                 );
             }
             for (path, _) in naive[v].received_from(n(origin)) {

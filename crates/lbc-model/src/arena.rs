@@ -343,47 +343,6 @@ impl PathArena {
         self.validity[id.index()] = if valid { 1 } else { 2 };
     }
 
-    /// Whether the *extended* path `id‑w` (for any `w` not on `id`) would
-    /// exclude `x`: no node of `id` except its first may belong to `x`.
-    ///
-    /// This is the exclusion test the flood engine runs on stored relay
-    /// paths — the full received path is `relay‑me`, whose internal nodes
-    /// are exactly the relay's nodes minus the relay's first node.
-    #[must_use]
-    pub fn tail_excludes(&self, id: PathId, x: &NodeSet) -> bool {
-        let entry = self.entry(id);
-        if entry.len <= 1 {
-            return true;
-        }
-        if !entry.simple {
-            // Exact walk: every position except position 0 must avoid `x`.
-            let mut cursor = id;
-            while let Some((parent, node)) = self.step(cursor) {
-                if parent.is_empty() {
-                    break; // position 0: the exempt head endpoint
-                }
-                if x.contains(node) {
-                    return false;
-                }
-                cursor = parent;
-            }
-            return true;
-        }
-        let members = entry.members.as_words();
-        let excluded = x.as_words();
-        for (word_index, (m, e)) in members.iter().zip(excluded.iter()).enumerate() {
-            let mut hits = m & e;
-            while hits != 0 {
-                let bit = hits.trailing_zeros() as usize;
-                hits &= hits - 1;
-                if NodeId::new(word_index * 64 + bit) != entry.first {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// Compares two interned paths by their node sequences in forward
     /// lexicographic order (the order `Path`'s derived `Ord` uses), without
     /// materializing either sequence.

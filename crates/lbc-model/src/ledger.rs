@@ -32,6 +32,28 @@
 //! the execution derives the same name at the same protocol step, so they
 //! all share one channel without coordination. Channels two epochs behind
 //! the newest of their tag are retired and their storage recycled.
+//!
+//! # Slot tables
+//!
+//! Every receiver of a transmission gets the same message, so what a flood
+//! engine derives from the message alone is the same at every receiver:
+//! rule (i)'s verdict, the interned relay id and the channel's first-value
+//! record. The ledger keeps one slot table per flood kind — value floods
+//! ([`FloodLedger::relay_decode_at_slot`]) and Algorithm 2's report flood
+//! ([`FloodLedger::report_lookup_at_slot`]) — indexed by the transmission's
+//! inbox slot (`lbc_sim::Inbox::iter_indexed`) modulo a fixed power-of-two
+//! capacity. The first receiver of a slot decodes the message and fills the
+//! entry; every later receiver finds it there and does only its per-node
+//! work.
+//!
+//! Each entry stores the full key it was filled for: the channel's serial
+//! (fresh on every open and retirement of a channel slot) and the wire
+//! identity. A lookup answers only on an exact match. The decode is a pure
+//! function of that key and a channel's records are write-once, so a
+//! verified hit is always exact. A slot number reused by a later round, two
+//! slot numbers that share an entry, and the colliding positions of
+//! test-local direct inboxes all simply miss and decode again. An unfilled
+//! entry matches nothing.
 
 use std::cell::{Ref, RefCell, RefMut};
 use std::fmt;
@@ -182,8 +204,20 @@ pub fn report_key(
     )
 }
 
+/// Packs a value-flood wire identity `(sender, Π)` into one word, as
+/// [`report_key`] packs a report's.
+#[inline]
+fn relay_key(from: NodeId, path: PathId) -> u64 {
+    debug_assert!(from.index() <= u32::MAX as usize);
+    ((from.index() as u64) << 32) | path.index() as u64
+}
+
 #[derive(Debug, Default)]
 struct Channel {
+    /// Names this incarnation of the channel slot in slot-table entries.
+    /// Fresh on every open and retirement, so entries filled for an earlier
+    /// flood in the same slot never match.
+    serial: u32,
     /// Relay-id-indexed first values for floods whose rule-(ii) key is the
     /// relay path itself (`Π‑sender`): 0 = unrecorded, else `value + 1`.
     relay_first: Vec<u8>,
@@ -191,30 +225,139 @@ struct Channel {
     keyed: FxHashMap<ReportKey, u32>,
     /// The keyed records, densely indexed.
     records: Vec<ReportRecord>,
-    /// Per-round slot cache over the simulator's shared round buffer, one
-    /// entry per transmission slot carrying every receiver-independent fact
-    /// a receiver needs (validity, first value, relay id, member word).
-    /// Every receiver of a broadcast sees the same slot, so the first
-    /// receiver's key lookup is reused by all the others as **one cache
-    /// line read** — in particular, a rule-(iii) drop never touches the
-    /// record table or any per-node structure at all. Entries are verified
-    /// against the packed key, so a stale or colliding slot — possible with
-    /// test-local direct inboxes — safely misses.
-    slot_cache: Vec<SlotEntry>,
 }
 
-/// One slot-cache entry; see `Channel::slot_cache`.
-#[derive(Debug, Clone, Copy, Default)]
-struct SlotEntry {
-    generation: u32,
+/// Entries in a slot table. A power of two, so a slot number maps to its
+/// entry with one mask. The event loop's slot numbers run on across a whole
+/// chain; the mask keeps the table at this size however far they go. It must
+/// hold every transmission still in flight: on the benchmark's
+/// `async_circulant.json` 2^16 entries decode each transmission exactly
+/// once, where 2^15 decode about one in five twice.
+const SLOT_TABLE_CAPACITY: usize = 1 << 16;
+
+/// A bounded, slot-indexed cache of receiver-independent decodes (see the
+/// module docs). It grows to the next power of two above the highest entry
+/// index used, at most [`SLOT_TABLE_CAPACITY`] entries. An unfilled entry is
+/// `None` and matches nothing.
+struct SlotTable<E> {
+    entries: Vec<Option<E>>,
+}
+
+impl<E> Default for SlotTable<E> {
+    fn default() -> Self {
+        SlotTable {
+            entries: Vec::new(),
+        }
+    }
+}
+
+// Manual impl: a derived one would print every entry.
+impl<E> fmt::Debug for SlotTable<E> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SlotTable")
+            .field("entries", &self.entries.len())
+            .finish()
+    }
+}
+
+impl<E: Copy> SlotTable<E> {
+    #[inline]
+    fn index(slot: u32) -> usize {
+        slot as usize & (SLOT_TABLE_CAPACITY - 1)
+    }
+
+    /// The entry `slot` maps to, if one was filled.
+    #[inline]
+    fn get(&self, slot: u32) -> Option<E> {
+        self.entries.get(Self::index(slot)).copied().flatten()
+    }
+
+    /// Fills the entry `slot` maps to, replacing what it held.
+    #[inline]
+    fn put(&mut self, slot: u32, entry: E) {
+        let index = Self::index(slot);
+        if index >= self.entries.len() {
+            self.entries.resize((index + 1).next_power_of_two(), None);
+        }
+        self.entries[index] = Some(entry);
+    }
+}
+
+/// A value-flood slot-table entry: the key it was filled for (channel
+/// serial and packed `(sender, Π)`) and the decode, in 32 bytes.
+#[derive(Debug, Clone, Copy)]
+struct RelaySlot {
+    key: u64,
+    relay_members_low: u64,
+    channel: u32,
+    relay: PathId,
+    origin: u32,
+    valid: bool,
+    first: Value,
+}
+
+/// A report-flood slot-table entry: the key it was filled for and the
+/// lookup.
+#[derive(Debug, Clone, Copy)]
+struct ReportSlot {
+    channel: u32,
     key: ReportKey,
     lookup: ReportLookup,
+}
+
+/// Whether `node` is on a relay path, given the path's first member word;
+/// `fallback` answers for node indices ≥ 64.
+#[inline]
+fn low_word_contains(word: u64, node: NodeId, fallback: impl FnOnce() -> bool) -> bool {
+    if node.index() < 64 {
+        word & (1u64 << node.index()) != 0
+    } else {
+        fallback()
+    }
+}
+
+/// The receiver-independent decode of one value-flood transmission
+/// `(b, Π)` from `u`, as cached by [`FloodLedger::cache_relay_decode`]:
+/// everything a receiver needs to apply rules (ii)–(iv) itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RelayDecode {
+    /// Rule (i)'s verdict: whether `Π‑u` is a path of the graph. The other
+    /// fields are meaningful only for a valid transmission.
+    pub valid: bool,
+    /// The relay path `Π‑u`.
+    pub relay: PathId,
+    /// The flood's origin, the relay path's first node.
+    pub origin: NodeId,
+    /// First 64 bits of the relay's member bitset (rule (iii) in a register
+    /// test for node indices < 64).
+    pub relay_members_low: u64,
+    /// The first value the channel recorded for the relay.
+    pub first: Value,
+}
+
+impl RelayDecode {
+    /// The decode of a transmission rule (i) rejects.
+    pub const INVALID: RelayDecode = RelayDecode {
+        valid: false,
+        relay: PathId::EMPTY,
+        origin: NodeId::new(0),
+        relay_members_low: 0,
+        first: Value::Zero,
+    };
+
+    /// Whether `node` is on the relay path, via the memoized low word;
+    /// `fallback` answers for node indices ≥ 64.
+    #[inline]
+    #[must_use]
+    pub fn relay_contains(&self, node: NodeId, fallback: impl FnOnce() -> bool) -> bool {
+        low_word_contains(self.relay_members_low, node, fallback)
+    }
 }
 
 /// The receiver-independent facts of one observation-flood broadcast, as
 /// returned by [`FloodLedger::report_lookup_at_slot`]: everything a receiver
 /// needs to apply rules (ii)–(iv) without touching the record table.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct ReportLookup {
     /// Dense record index (for per-node bitsets and the accepted list).
     pub index: u32,
@@ -245,20 +388,7 @@ impl ReportLookup {
     #[inline]
     #[must_use]
     pub fn relay_contains(&self, node: NodeId, fallback: impl FnOnce() -> bool) -> bool {
-        if node.index() < 64 {
-            self.relay_members_low & (1u64 << node.index()) != 0
-        } else {
-            fallback()
-        }
-    }
-}
-
-impl Channel {
-    fn clear(&mut self) {
-        self.relay_first.clear();
-        self.keyed.clear();
-        self.records.clear();
-        self.slot_cache.clear();
+        low_word_contains(self.relay_members_low, node, fallback)
     }
 }
 
@@ -318,6 +448,12 @@ pub struct FloodLedger {
     /// every node would otherwise recompute identically. Algorithm 2's fault
     /// identification keys this by `(origin, other)`.
     pair_paths: FxHashMap<(NodeId, NodeId), Rc<Vec<Path>>>,
+    /// The last channel serial handed out (see `Channel::serial`).
+    serials: u32,
+    /// Value-flood decodes by inbox slot (see the module docs).
+    relay_slots: SlotTable<RelaySlot>,
+    /// Report-flood lookups by inbox slot (see the module docs).
+    report_slots: SlotTable<ReportSlot>,
 }
 
 impl FloodLedger {
@@ -348,7 +484,7 @@ impl FloodLedger {
             self.channels.push(Channel::default());
             u32::try_from(self.channels.len() - 1).expect("ledger overflow: > u32::MAX channels")
         });
-        self.channels[slot as usize].clear();
+        self.reset_channel(slot);
         self.names.insert((tag, epoch), slot);
         if self.log_events {
             self.events.push(ChannelEvent::Opened {
@@ -416,7 +552,7 @@ impl FloodLedger {
         stale.sort_unstable();
         for name in stale {
             if let Some(retired) = self.names.remove(&name) {
-                self.channels[retired as usize].clear();
+                self.reset_channel(retired);
                 self.free.push(retired);
                 if self.log_events {
                     self.events.push(ChannelEvent::Retired {
@@ -427,6 +563,19 @@ impl FloodLedger {
                 }
             }
         }
+    }
+
+    /// Empties a channel slot's records and gives it a fresh serial.
+    fn reset_channel(&mut self, slot: u32) {
+        self.serials = self
+            .serials
+            .checked_add(1)
+            .expect("ledger overflow: > u32::MAX channel resets");
+        let channel = &mut self.channels[slot as usize];
+        channel.serial = self.serials;
+        channel.relay_first.clear();
+        channel.keyed.clear();
+        channel.records.clear();
     }
 
     /// Enables or disables the channel-event log. Disabling also discards
@@ -504,58 +653,94 @@ impl FloodLedger {
         Some((index, channel.records[index as usize]))
     }
 
-    /// [`FloodLedger::keyed_record`] accelerated by the per-round slot
-    /// cache: if a previous receiver of round `generation` already resolved
-    /// the broadcast in `slot`, the lookup degenerates to one verified
-    /// cache-line read. Pass `generation == 0` to bypass the cache (e.g.
-    /// when slots are not globally unique). On a cache miss the underlying
-    /// map answers and the slot is (re)filled.
+    /// The decode a previous receiver cached for the value-flood
+    /// transmission in `slot`, if that entry was filled for `(from, path)`
+    /// on this channel; `None` on a miss (see the module docs).
+    #[inline]
+    #[must_use]
+    pub fn relay_decode_at_slot(
+        &self,
+        channel: ChannelId,
+        slot: u32,
+        from: NodeId,
+        path: PathId,
+    ) -> Option<RelayDecode> {
+        let serial = self.channels[channel.0 as usize].serial;
+        let key = relay_key(from, path);
+        let entry = self.relay_slots.get(slot)?;
+        (entry.channel == serial && entry.key == key).then_some(RelayDecode {
+            valid: entry.valid,
+            relay: entry.relay,
+            origin: NodeId::new(entry.origin as usize),
+            relay_members_low: entry.relay_members_low,
+            first: entry.first,
+        })
+    }
+
+    /// Caches the decode of the value-flood transmission `(from, path)` in
+    /// `slot` for every later receiver of the slot.
+    #[inline]
+    pub fn cache_relay_decode(
+        &mut self,
+        channel: ChannelId,
+        slot: u32,
+        from: NodeId,
+        path: PathId,
+        decode: RelayDecode,
+    ) {
+        debug_assert!(decode.origin.index() <= u32::MAX as usize);
+        let entry = RelaySlot {
+            key: relay_key(from, path),
+            relay_members_low: decode.relay_members_low,
+            channel: self.channels[channel.0 as usize].serial,
+            relay: decode.relay,
+            origin: decode.origin.index() as u32,
+            valid: decode.valid,
+            first: decode.first,
+        };
+        self.relay_slots.put(slot, entry);
+    }
+
+    /// [`FloodLedger::keyed_record`] through the report slot table: if a
+    /// previous receiver already resolved `key` in `slot` on this channel,
+    /// the lookup is one verified entry read. On a miss the keyed map
+    /// answers and the entry is filled.
     #[must_use]
     pub fn report_lookup_at_slot(
         &mut self,
         channel: ChannelId,
         slot: u32,
-        generation: u32,
         key: &ReportKey,
     ) -> Option<ReportLookup> {
-        let slots = &self.channels[channel.0 as usize];
-        if generation != 0 {
-            if let Some(entry) = slots.slot_cache.get(slot as usize) {
-                if entry.generation == generation && entry.key == *key {
-                    return Some(entry.lookup);
-                }
+        let records = &self.channels[channel.0 as usize];
+        if let Some(entry) = self.report_slots.get(slot) {
+            if entry.channel == records.serial && entry.key == *key {
+                return Some(entry.lookup);
             }
         }
-        let index = *slots.keyed.get(key)?;
-        Some(self.cache_slot(channel, slot, generation, *key, index))
+        let index = *records.keyed.get(key)?;
+        Some(self.cache_slot(channel, slot, *key, index))
     }
 
-    /// Fills the per-round slot cache for the record at `index` (no-op for
-    /// `generation == 0`, which disables caching) and returns its lookup
-    /// view. The single fill path for both the first receiver (after
-    /// [`FloodLedger::insert_keyed`]) and repeat receivers whose cache
-    /// entry was evicted by a newer generation.
+    /// Fills the report slot table's entry for `slot` with the record at
+    /// `index` and returns its lookup view. The single fill path for both
+    /// the first receiver (after [`FloodLedger::insert_keyed`]) and later
+    /// receivers whose entry was overwritten.
     pub fn cache_slot(
         &mut self,
         channel: ChannelId,
         slot: u32,
-        generation: u32,
         key: ReportKey,
         index: u32,
     ) -> ReportLookup {
-        let channel = &mut self.channels[channel.0 as usize];
-        let lookup = ReportLookup::of(index, &channel.records[index as usize]);
-        if generation != 0 {
-            let slot = slot as usize;
-            if slot >= channel.slot_cache.len() {
-                channel.slot_cache.resize(slot + 1, SlotEntry::default());
-            }
-            channel.slot_cache[slot] = SlotEntry {
-                generation,
-                key,
-                lookup,
-            };
-        }
+        let records = &self.channels[channel.0 as usize];
+        let lookup = ReportLookup::of(index, &records.records[index as usize]);
+        let entry = ReportSlot {
+            channel: records.serial,
+            key,
+            lookup,
+        };
+        self.report_slots.put(slot, entry);
         lookup
     }
 
@@ -670,11 +855,6 @@ impl SharedFloodLedger {
     /// [`FloodLedger::begin_session`].
     pub fn begin_session(&self) -> u32 {
         self.inner.borrow_mut().begin_session()
-    }
-
-    /// Records a relay-keyed broadcast. See [`FloodLedger::record_relay`].
-    pub fn record_relay(&self, channel: ChannelId, relay: PathId, value: Value) -> Value {
-        self.inner.borrow_mut().record_relay(channel, relay, value)
     }
 
     /// The first value recorded for a relay key. See
@@ -834,8 +1014,121 @@ mod tests {
         assert_eq!(ledger.record(ch, index).observed, n(0));
     }
 
+    fn decode(relay: usize, first: Value) -> RelayDecode {
+        RelayDecode {
+            valid: true,
+            relay: pid(relay),
+            origin: n(4),
+            relay_members_low: 0b1_0001,
+            first,
+        }
+    }
+
     #[test]
-    fn slot_cache_hits_and_verifies() {
+    fn slot_table_entries_stay_small() {
+        // The value table is the one that reaches full capacity (the event
+        // loop's slots run on across a chain): 2^16 entries of 32 bytes.
+        assert_eq!(std::mem::size_of::<Option<RelaySlot>>(), 32);
+    }
+
+    #[test]
+    fn relay_slot_hits_only_on_its_full_key() {
+        let mut ledger = FloodLedger::new();
+        let ch = ledger.open(0, 0);
+        ledger.cache_relay_decode(ch, 7, n(3), pid(2), decode(9, Value::One));
+        // A later receiver of the same slot and key: a verified hit.
+        assert_eq!(
+            ledger.relay_decode_at_slot(ch, 7, n(3), pid(2)),
+            Some(decode(9, Value::One))
+        );
+        // The same slot holding another transmission misses, whether the
+        // sender or the path differs, and so does another slot.
+        assert_eq!(ledger.relay_decode_at_slot(ch, 7, n(1), pid(2)), None);
+        assert_eq!(ledger.relay_decode_at_slot(ch, 7, n(3), pid(5)), None);
+        assert_eq!(ledger.relay_decode_at_slot(ch, 8, n(3), pid(2)), None);
+        // An invalid decode is cached like any other.
+        ledger.cache_relay_decode(ch, 8, n(3), pid(6), RelayDecode::INVALID);
+        assert_eq!(
+            ledger.relay_decode_at_slot(ch, 8, n(3), pid(6)),
+            Some(RelayDecode::INVALID)
+        );
+    }
+
+    #[test]
+    fn slot_entries_die_with_their_channel() {
+        // Retirement recycles the channel slot, and with it the ChannelId;
+        // an entry filled for the earlier flood must not answer for the new
+        // one, whose first values start over.
+        let mut ledger = FloodLedger::new();
+        let e0 = ledger.open(0, 0);
+        ledger.cache_relay_decode(e0, 0, n(3), pid(2), decode(9, Value::One));
+        let report = report_key(n(1), pid(2), n(0), pid(1));
+        let record = ReportRecord {
+            valid: true,
+            value: Value::One,
+            relay: pid(5),
+            relay_members_low: 0b10,
+            observed: n(0),
+            observed_path: pid(1),
+        };
+        let index = ledger.insert_keyed(e0, report, record);
+        let _ = ledger.cache_slot(e0, 1, report, index);
+        let _e1 = ledger.open(0, 1);
+        let e2 = ledger.open(0, 2);
+        assert_eq!(e2, e0, "epoch 2 reuses epoch 0's channel slot");
+        assert_eq!(ledger.relay_decode_at_slot(e2, 0, n(3), pid(2)), None);
+        assert!(ledger.report_lookup_at_slot(e2, 1, &report).is_none());
+    }
+
+    #[test]
+    fn unfilled_slots_never_match() {
+        let mut ledger = FloodLedger::new();
+        let ch = ledger.open(1, 0);
+        // (v0, ⊥) is node 0's initiation and (v0, ⊥, v0, ⊥) a report
+        // initiation on it: both are real wire identities, all-zero keys.
+        assert_eq!(relay_key(n(0), PathId::EMPTY), 0);
+        assert_eq!(report_key(n(0), PathId::EMPTY, n(0), PathId::EMPTY), (0, 0));
+        assert_eq!(
+            ledger.relay_decode_at_slot(ch, 0, n(0), PathId::EMPTY),
+            None
+        );
+        assert!(ledger.report_slots.get(0).is_none());
+        // Filling a far entry grows the table; the entries below it stay
+        // unfilled and still match nothing.
+        ledger.cache_relay_decode(ch, 5, n(3), pid(2), decode(9, Value::One));
+        for slot in 0..5 {
+            assert_eq!(
+                ledger.relay_decode_at_slot(ch, slot, n(0), PathId::EMPTY),
+                None
+            );
+        }
+        // With no record, the report lookup misses in the table and the map.
+        assert!(ledger.report_lookup_at_slot(ch, 0, &(0, 0)).is_none());
+    }
+
+    #[test]
+    fn slot_tables_stay_bounded() {
+        let mut ledger = FloodLedger::new();
+        let ch = ledger.open(0, 0);
+        let far = (1u32 << 31) + 7;
+        ledger.cache_relay_decode(ch, far, n(3), pid(2), decode(9, Value::One));
+        assert_eq!(ledger.relay_slots.entries.len(), 8);
+        assert_eq!(
+            ledger.relay_decode_at_slot(ch, far, n(3), pid(2)),
+            Some(decode(9, Value::One))
+        );
+        ledger.cache_relay_decode(ch, u32::MAX, n(1), pid(4), decode(8, Value::Zero));
+        assert_eq!(ledger.relay_slots.entries.len(), SLOT_TABLE_CAPACITY);
+        assert!(ledger.relay_slots.entries.capacity() <= SLOT_TABLE_CAPACITY);
+        // Slot 2^31 + 7 and slot 7 share an entry: the later fill wins and
+        // the earlier key misses.
+        ledger.cache_relay_decode(ch, 7, n(1), pid(3), decode(10, Value::Zero));
+        assert_eq!(ledger.relay_decode_at_slot(ch, far, n(3), pid(2)), None);
+        assert_eq!(ledger.relay_slots.entries.len(), SLOT_TABLE_CAPACITY);
+    }
+
+    #[test]
+    fn report_slot_hits_and_verifies() {
         let mut ledger = FloodLedger::new();
         let ch = ledger.open(1, 0);
         let key_a = report_key(n(1), pid(2), n(0), pid(1));
@@ -849,29 +1142,18 @@ mod tests {
             observed_path: pid(1),
         };
         let index = ledger.insert_keyed(ch, key_a, record);
-        // First receiver fills slot 7 for generation 3.
-        let first = ledger.report_lookup_at_slot(ch, 7, 3, &key_a).unwrap();
+        // The first receiver fills slot 7.
+        let first = ledger.report_lookup_at_slot(ch, 7, &key_a).unwrap();
         assert_eq!(first.index, index);
         assert_eq!(first.relay, pid(5));
         assert_eq!(first.relay_members_low, 0b10);
-        // Same slot, same generation, same key: cache hit.
+        // Same slot, same key: a hit.
         assert_eq!(
-            ledger
-                .report_lookup_at_slot(ch, 7, 3, &key_a)
-                .unwrap()
-                .index,
+            ledger.report_lookup_at_slot(ch, 7, &key_a).unwrap().index,
             index
         );
-        // A colliding slot with a different key must not be trusted.
-        assert!(ledger.report_lookup_at_slot(ch, 7, 3, &key_b).is_none());
-        // Generation 0 bypasses the cache entirely.
-        assert_eq!(
-            ledger
-                .report_lookup_at_slot(ch, 7, 0, &key_a)
-                .unwrap()
-                .index,
-            index
-        );
+        // The same slot with another, unrecorded key misses.
+        assert!(ledger.report_lookup_at_slot(ch, 7, &key_b).is_none());
     }
 
     #[test]
@@ -984,7 +1266,10 @@ mod tests {
         let shared = SharedFloodLedger::new();
         let clone = shared.clone();
         let ch = shared.open(0, 0);
-        assert_eq!(clone.record_relay(ch, pid(3), Value::One), Value::One);
+        assert_eq!(
+            clone.borrow_mut().record_relay(ch, pid(3), Value::One),
+            Value::One
+        );
         assert_eq!(shared.relay_value(ch, pid(3)), Some(Value::One));
     }
 }

@@ -72,8 +72,8 @@ pub use error::ModelError;
 pub use ids::{NodeId, Round};
 pub use input::InputAssignment;
 pub use ledger::{
-    report_key, ChannelEvent, ChannelId, DenseBits, FloodLedger, ReportKey, ReportLookup,
-    ReportRecord, SharedFloodLedger,
+    report_key, ChannelEvent, ChannelId, DenseBits, FloodLedger, RelayDecode, ReportKey,
+    ReportLookup, ReportRecord, SharedFloodLedger,
 };
 pub use nodeset::NodeSet;
 pub use outcome::{ConsensusOutcome, Verdict};

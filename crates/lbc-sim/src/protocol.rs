@@ -170,12 +170,14 @@ impl<'a, M> Inbox<'a, M> {
     }
 
     /// Iterates `(slot, delivery)` pairs, where `slot` identifies the
-    /// transmission in the round's shared buffer. Every receiver of the same
-    /// broadcast sees the same slot, which is what lets shared-fabric
-    /// consumers cache per-broadcast work by slot for the round (see
-    /// `lbc_model::FloodLedger`). For a [`Inbox::direct`] inbox the slot is
-    /// the position in the slice — only unique within that inbox, so
-    /// slot-keyed caches must verify before trusting an entry.
+    /// transmission in the shared buffer. Every receiver of the same
+    /// transmission sees the same slot, which is what lets the flood engines
+    /// decode a transmission once and hand the decode to its other receivers
+    /// through the ledger's slot tables (see `lbc_model::FloodLedger`). The
+    /// lockstep loop numbers slots from 0 every round; the event loop numbers
+    /// them across a whole chain. For an [`Inbox::direct`] inbox the slot is
+    /// the position in the slice, which is unique only within that inbox, so
+    /// a slot-keyed cache must verify an entry's key before trusting it.
     pub fn iter_indexed(&self) -> impl Iterator<Item = (u32, &'a Delivery<M>)> + use<'a, M> {
         let buffer = self.buffer;
         match self.slots {
