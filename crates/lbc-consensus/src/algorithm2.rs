@@ -218,10 +218,8 @@ impl Algorithm2Node {
                 .as_ref()
                 .is_some_and(|flood| flood.overheard_exactly(observed, observed_path, value));
         }
-        let internal = self
-            .reports
-            .internal_sets(ctx, observed, value, observed_path);
-        paths::has_disjoint_family(internal, ctx.f + 1)
+        self.reports
+            .received_along_disjoint_paths(ctx, observed, value, observed_path, ctx.f + 1)
     }
 
     /// The `2f` node-disjoint `origin → other` paths inspected by the fault
@@ -673,23 +671,49 @@ impl ReportFlood {
         }
     }
 
-    /// The internal node sets of the full `observed → me` paths the report
-    /// `(observed, value, observed_path)` arrived along, in arrival order:
-    /// each accepted relay starts at `observed` and, by rule (iii), avoids
-    /// `me`, so its internal nodes are its members minus `observed`. An
-    /// execution that never asks (every reliably-received check answered by
-    /// direct overhearing) never builds the stream index.
-    fn internal_sets(
+    /// Definition C.1 for a report: whether this node accepted the report
+    /// `(observed, value, observed_path)` along `k` pairwise internally
+    /// disjoint `observed → me` paths. Each accepted relay starts at
+    /// `observed` and, by rule (iii), avoids `me`, so the full path's
+    /// internal nodes are the relay's members minus `observed`: the test
+    /// reads the stream's relay member words in place, in arrival order,
+    /// and copies no set.
+    fn received_along_disjoint_paths(
         &self,
         ctx: &NodeContext<'_>,
         observed: NodeId,
         value: Value,
         observed_path: PathId,
-    ) -> Vec<NodeSet> {
+        k: usize,
+    ) -> bool {
         let Some(channel) = self.channel else {
-            return Vec::new(); // no report was ever processed
+            return k == 0; // no report was ever processed
         };
         let ledger = ctx.ledger.borrow();
+        let arena = ctx.arena.borrow();
+        let relays = self
+            .stream(&ledger, channel, observed, value, observed_path)
+            .iter()
+            .map(|&index| {
+                arena
+                    .members(ledger.record(channel, index).relay)
+                    .as_words()
+            });
+        paths::has_disjoint_family(relays, observed, k)
+    }
+
+    /// The accepted record indices of the report stream `(observed, value,
+    /// observed_path)`, in arrival order. An execution that never asks
+    /// (every reliably-received check answered by direct overhearing) never
+    /// builds the stream index.
+    fn stream(
+        &self,
+        ledger: &FloodLedger,
+        channel: ChannelId,
+        observed: NodeId,
+        value: Value,
+        observed_path: PathId,
+    ) -> &[u32] {
         let streams = self.streams.get_or_init(|| {
             let mut by_stream: FxHashMap<(NodeId, Value, PathId), Vec<u32>> = FxHashMap::default();
             for &index in &self.accepted {
@@ -702,18 +726,9 @@ impl ReportFlood {
             }
             by_stream
         });
-        let Some(indices) = streams.get(&(observed, value, observed_path)) else {
-            return Vec::new();
-        };
-        let arena = ctx.arena.borrow();
-        indices
-            .iter()
-            .map(|&index| {
-                let mut members = arena.members(ledger.record(channel, index).relay).clone();
-                members.remove(observed);
-                members
-            })
-            .collect()
+        streams
+            .get(&(observed, value, observed_path))
+            .map_or(&[], Vec::as_slice)
     }
 }
 
@@ -823,6 +838,22 @@ mod tests {
         }
     }
 
+    /// The relay paths of a report stream, resolved, in arrival order.
+    fn stream_relays(
+        flood: &ReportFlood,
+        arena: &SharedPathArena,
+        ledger: &SharedFloodLedger,
+        (observed, value, observed_path): (NodeId, Value, PathId),
+    ) -> Vec<Path> {
+        let ledger = ledger.borrow();
+        let channel = flood.channel.expect("a report was processed");
+        flood
+            .stream(&ledger, channel, observed, value, observed_path)
+            .iter()
+            .map(|&index| arena.resolve(ledger.record(channel, index).relay))
+            .collect()
+    }
+
     #[test]
     fn round_count_is_linear() {
         assert_eq!(Algorithm2Node::round_count(5), 15);
@@ -890,15 +921,30 @@ mod tests {
         assert!(flood
             .process(&arena, &ledger, &graph, n(2), n(1), &report)
             .is_none());
-        let ctx = ctx_at(n(2), &graph, &arena, &ledger);
-        // The full path is 0-1-2: its only internal node is 1.
-        assert_eq!(
-            flood.internal_sets(&ctx, n(0), Value::Zero, observed_path),
-            vec![NodeSet::singleton(n(1))]
-        );
+        // The same report around the other side of the cycle, from node 3.
+        let around = ReportMsg {
+            path: intern(&arena, &[0, 4]),
+            ..report
+        };
         assert!(flood
-            .internal_sets(&ctx, n(0), Value::One, observed_path)
-            .is_empty());
+            .process(&arena, &ledger, &graph, n(2), n(3), &around)
+            .is_some());
+        let ctx = ctx_at(n(2), &graph, &arena, &ledger);
+        // The full paths 0-1-2 and 0-4-3-2 have the internal nodes {1} and
+        // {4, 3}: two disjoint paths, once the observed node 0 is left out.
+        let zero = (n(0), Value::Zero, observed_path);
+        assert_eq!(
+            stream_relays(&flood, &arena, &ledger, zero),
+            vec![
+                Path::from_nodes([n(0), n(1)]),
+                Path::from_nodes([n(0), n(4), n(3)])
+            ]
+        );
+        assert!(flood.received_along_disjoint_paths(&ctx, n(0), Value::Zero, observed_path, 2));
+        assert!(!flood.received_along_disjoint_paths(&ctx, n(0), Value::Zero, observed_path, 3));
+        let one = (n(0), Value::One, observed_path);
+        assert!(stream_relays(&flood, &arena, &ledger, one).is_empty());
+        assert!(!flood.received_along_disjoint_paths(&ctx, n(0), Value::One, observed_path, 1));
     }
 
     #[test]
@@ -924,25 +970,16 @@ mod tests {
             .process(&arena, &ledger, &graph, n(0), n(1), &report)
             .is_some());
         // Both receivers heard node 1 directly: full paths 1-2 and 1-0,
-        // with no internal node.
-        assert_eq!(
-            at_node2.internal_sets(
-                &ctx_at(n(2), &graph, &arena, &ledger),
-                n(1),
-                Value::One,
-                observed_path
-            ),
-            vec![NodeSet::new()]
-        );
-        assert_eq!(
-            at_node0.internal_sets(
-                &ctx_at(n(0), &graph, &arena, &ledger),
-                n(1),
-                Value::One,
-                observed_path
-            ),
-            vec![NodeSet::new()]
-        );
+        // with no internal node, so the one relay counts as a direct edge.
+        let stream = (n(1), Value::One, observed_path);
+        for (me, flood) in [(n(2), &at_node2), (n(0), &at_node0)] {
+            assert_eq!(
+                stream_relays(flood, &arena, &ledger, stream),
+                vec![Path::singleton(n(1))]
+            );
+            let ctx = ctx_at(me, &graph, &arena, &ledger);
+            assert!(flood.received_along_disjoint_paths(&ctx, n(1), Value::One, observed_path, 1));
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ use std::collections::BTreeMap;
 
 use lbc_graph::{paths, Graph};
 use lbc_model::{
-    ChannelId, DenseBits, FloodLedger, NodeId, NodeSet, Path, PathArena, PathId, RelayDecode,
+    ChannelId, DenseBits, FloodLedger, NodeId, Path, PathArena, PathId, RelayDecode,
     SharedFloodLedger, SharedPathArena, Value,
 };
 use lbc_sim::{ByzantineMessage, Inbox, Outgoing};
@@ -457,9 +457,9 @@ impl LedgerFlooder {
 
     /// This node's first-received value for a seen relay key (override if
     /// the node's view diverged from the ledger record, else the record).
-    fn seen_value(&self, relay: PathId) -> Value {
+    fn seen_value(&self, ledger: &FloodLedger, relay: PathId) -> Value {
         self.overrides.get(&relay).copied().unwrap_or_else(|| {
-            self.ledger
+            ledger
                 .relay_value(self.channel, relay)
                 .expect("seen relay has a ledger record")
         })
@@ -502,7 +502,7 @@ impl LedgerFlooder {
         if !self.seen.contains(relay.index()) {
             return None;
         }
-        Some(self.seen_value(relay))
+        Some(self.seen_value(&self.ledger.borrow(), relay))
     }
 
     /// The interned relay-path ids received from `origin`, in arrival order
@@ -517,10 +517,10 @@ impl LedgerFlooder {
     }
 
     /// The value of an *indexed* (accepted) relay id.
-    fn relay_value(&self, arena: &PathArena, relay: PathId) -> Option<Value> {
+    fn relay_value(&self, arena: &PathArena, ledger: &FloodLedger, relay: PathId) -> Option<Value> {
         match arena.step(relay) {
             None => self.own_value,
-            Some(_) => Some(self.seen_value(relay)),
+            Some(_) => Some(self.seen_value(ledger, relay)),
         }
     }
 
@@ -537,12 +537,13 @@ impl LedgerFlooder {
     #[must_use]
     pub fn received_from(&self, origin: NodeId) -> Vec<(Path, Value)> {
         let arena = self.arena.borrow();
+        let ledger = self.ledger.borrow();
         let mut entries: Vec<(Path, Value)> = self
             .relay_ids_from(origin)
             .iter()
             .map(|id| {
                 let value = self
-                    .relay_value(&arena, *id)
+                    .relay_value(&arena, &ledger, *id)
                     .expect("indexed relay has a value");
                 (self.resolve_full(&arena, *id), value)
             })
@@ -552,24 +553,22 @@ impl LedgerFlooder {
     }
 
     /// Definition C.1's path test: whether this node received `value` from
-    /// `origin` along `k` pairwise internally disjoint paths. Reads the
-    /// relays' memoized member sets and resolves no path: the internal nodes
-    /// of the full path `relay‑me` are the relay's members minus `origin`,
-    /// since rule (iii) keeps `me` out of every indexed relay.
+    /// `origin` along `k` pairwise internally disjoint paths. The internal
+    /// nodes of the full path `relay‑me` are the relay's members minus
+    /// `origin`, since rule (iii) keeps `me` out of every indexed relay, so
+    /// the test reads each matching relay's memoized member words in place,
+    /// in arrival order, and stops at the `k`-th disjoint one. It resolves
+    /// no path, copies no set, and borrows the arena and the ledger once.
     #[must_use]
     pub fn received_along_disjoint_paths(&self, origin: NodeId, value: Value, k: usize) -> bool {
         let arena = self.arena.borrow();
-        let internal: Vec<NodeSet> = self
+        let ledger = self.ledger.borrow();
+        let relays = self
             .relay_ids_from(origin)
             .iter()
-            .filter(|id| self.relay_value(&arena, **id) == Some(value))
-            .map(|id| {
-                let mut members = arena.members(*id).clone();
-                members.remove(origin);
-                members
-            })
-            .collect();
-        paths::has_disjoint_family(internal, k)
+            .filter(|&&relay| self.relay_value(&arena, &ledger, relay) == Some(value))
+            .map(|&relay| arena.members(relay).as_words());
+        paths::has_disjoint_family(relays, origin, k)
     }
 
     /// Every `(sender, path id, value)` accepted under rule (ii) from direct
@@ -579,13 +578,14 @@ impl LedgerFlooder {
     #[must_use]
     pub fn overheard_ids(&self) -> Vec<(NodeId, PathId, Value)> {
         let arena = self.arena.borrow();
+        let ledger = self.ledger.borrow();
         let mut entries: Vec<(NodeId, PathId, Value)> = self
             .seen
             .ones()
             .map(|index| {
                 let relay = PathId::from_index(index);
                 let (prefix, last) = arena.step(relay).expect("seen relays are non-empty");
-                (last, prefix, self.seen_value(relay))
+                (last, prefix, self.seen_value(&ledger, relay))
             })
             .collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| arena.cmp_nodes(a.1, b.1)));
@@ -599,7 +599,8 @@ impl LedgerFlooder {
     pub fn overheard_exactly(&self, observed: NodeId, path: PathId, value: Value) -> bool {
         let relay = self.arena.borrow().find_child(path, observed);
         relay.is_some_and(|relay| {
-            self.seen.contains(relay.index()) && self.seen_value(relay) == value
+            self.seen.contains(relay.index())
+                && self.seen_value(&self.ledger.borrow(), relay) == value
         })
     }
 
@@ -943,7 +944,7 @@ mod tests {
         let via3 = Path::from_nodes([n(4), n(3), n(2)]);
         assert_eq!(from4, vec![(via3.clone(), Some(Value::Zero))]);
         // Its internal node 3 is what an exclusion of {3} rules out.
-        let excl: NodeSet = [n(3)].into_iter().collect();
+        let excl: lbc_model::NodeSet = [n(3)].into_iter().collect();
         assert!(!via3.excludes(&excl));
     }
 

@@ -260,44 +260,72 @@ pub fn all_simple_paths(graph: &Graph, u: NodeId, v: NodeId) -> Vec<Path> {
     result
 }
 
-/// Whether `k` of the node sets `sets` are pairwise disjoint.
+/// Whether `k` candidate `uv`-paths are pairwise internally disjoint.
 ///
 /// This is the "received along `f + 1` internally disjoint `uv`-paths"
-/// test of Definition C.1 (Algorithm 2 and the asynchronous algorithm),
-/// with each candidate path given by its set of internal nodes: two
-/// `uv`-paths are internally disjoint exactly when those sets are. The
-/// answer is exact and comes in three steps:
+/// test of Definition C.1 (Algorithm 2 and the asynchronous algorithm).
+/// Each candidate is given by the member words ([`NodeSet::as_words`]) of
+/// its path minus the receiver `v`, borrowed in place in the caller's
+/// order, and `leave_out` is the node to leave out of them: `u`, where
+/// every such relay path starts. Two `uv`-paths are internally disjoint
+/// exactly when their sets minus `leave_out` are. No set is copied, and
+/// the answer is exact:
 ///
-/// 1. An empty set (the direct edge `[u, v]`) is disjoint from every set,
-///    another empty one included, so each counts towards `k` outright.
-/// 2. A greedy first-fit pass over the other sets, smallest first, answers
-///    most yes-instances without any search.
-/// 3. Otherwise a backtracking search runs over the inclusion-minimal sets
+/// 1. One pass in the given order, which returns as soon as `k` sets count
+///    and reads no set after that. A set that is empty once `leave_out` is
+///    removed (the direct edge `[u, v]`) is disjoint from every set,
+///    another empty one included, so it counts outright. Any other set is
+///    picked first-fit: if it misses the union of the sets picked so far,
+///    a union that never holds `leave_out`. The order steers this pass,
+///    never the answer.
+/// 2. Only if that pass falls short: a greedy first-fit pass over the
+///    other sets, smallest first.
+/// 3. Otherwise a backtracking search over the inclusion-minimal sets
 ///    only. No family is lost: swapping a member for a minimal set inside
 ///    it keeps the family disjoint. Forged copies that all pass through one
 ///    faulty node collapse to a few minimal sets, all holding that node.
+///
+/// Steps 2 and 3 work on the same borrowed words; `sets` is iterated a
+/// second time for them, so it must be cheap to clone.
 #[must_use]
-pub fn has_disjoint_family(mut sets: Vec<NodeSet>, k: usize) -> bool {
-    let total = sets.len();
-    sets.retain(|set| !set.is_empty());
-    let need = k.saturating_sub(total - sets.len());
-    if need == 0 {
+pub fn has_disjoint_family<'a, I>(sets: I, leave_out: NodeId, k: usize) -> bool
+where
+    I: IntoIterator<Item = &'a [u64]>,
+    I::IntoIter: Clone,
+{
+    if k == 0 {
         return true;
     }
-    if sets.len() < need {
+    let leave = LeftOut::new(leave_out);
+    let sets = sets.into_iter();
+    let mut union = Vec::new();
+    let (mut direct, mut others, mut picked) = (0, 0, 0);
+    for set in sets.clone() {
+        if leave.is_empty_in(set) {
+            direct += 1;
+        } else {
+            others += 1;
+            if !disjoint(&union, set) {
+                continue;
+            }
+            leave.add_to_union(&mut union, set);
+            picked += 1;
+        }
+        if direct + picked == k {
+            return true;
+        }
+    }
+    let need = k - direct;
+    if others < need {
         return false;
     }
-    sets.sort_unstable_by_key(NodeSet::len);
-    let width = sets
-        .iter()
-        .map(|set| set.as_words().len())
-        .max()
-        .unwrap_or(0);
-    let mut union = vec![0u64; width];
-    let mut picked = 0;
+    let mut sets: Vec<&[u64]> = sets.filter(|set| !leave.is_empty_in(set)).collect();
+    sets.sort_unstable_by_key(|set| leave.len_in(set));
+    union.clear();
+    picked = 0;
     for set in &sets {
-        if disjoint(&union, set.as_words()) {
-            or_into(&mut union, set.as_words());
+        if disjoint(&union, set) {
+            leave.add_to_union(&mut union, set);
             picked += 1;
             if picked == need {
                 return true;
@@ -308,18 +336,18 @@ pub fn has_disjoint_family(mut sets: Vec<NodeSet>, k: usize) -> bool {
     // minimal iff no set kept so far lies inside it (an equal copy counts:
     // equal non-empty sets conflict, so one copy is enough).
     let mut minimal: Vec<&[u64]> = Vec::new();
-    for set in &sets {
-        if !minimal.iter().any(|kept| subset(kept, set.as_words())) {
-            minimal.push(set.as_words());
+    for set in sets {
+        if !minimal.iter().any(|kept| leave.subset(kept, set)) {
+            minimal.push(set);
         }
     }
-    union.fill(0);
-    extend_family(&minimal, need, &mut union)
+    union.clear();
+    extend_family(&minimal, need, &mut union, leave)
 }
 
 /// Backtracking step of [`has_disjoint_family`]: whether `need` sets of
 /// `sets`, pairwise disjoint and disjoint from `union`, exist.
-fn extend_family(sets: &[&[u64]], need: usize, union: &mut [u64]) -> bool {
+fn extend_family(sets: &[&[u64]], need: usize, union: &mut Vec<u64>, leave: LeftOut) -> bool {
     if need == 0 {
         return true;
     }
@@ -328,8 +356,8 @@ fn extend_family(sets: &[&[u64]], need: usize, union: &mut [u64]) -> bool {
             return false;
         }
         if disjoint(union, set) {
-            or_into(union, set);
-            if extend_family(&sets[index + 1..], need - 1, union) {
+            leave.add_to_union(union, set);
+            if extend_family(&sets[index + 1..], need - 1, union, leave) {
                 return true;
             }
             // `set` was disjoint from `union`, so this undoes the union.
@@ -341,19 +369,66 @@ fn extend_family(sets: &[&[u64]], need: usize, union: &mut [u64]) -> bool {
     false
 }
 
+/// The node [`has_disjoint_family`] leaves out of every candidate set, as
+/// its word index and bit.
+#[derive(Clone, Copy)]
+struct LeftOut {
+    word: usize,
+    bit: u64,
+}
+
+impl LeftOut {
+    fn new(node: NodeId) -> Self {
+        LeftOut {
+            word: node.index() / 64,
+            bit: 1 << (node.index() % 64),
+        }
+    }
+
+    /// Word `index` of `set`, without the left-out node.
+    fn word(self, set: &[u64], index: usize) -> u64 {
+        let word = set.get(index).copied().unwrap_or(0);
+        if index == self.word {
+            word & !self.bit
+        } else {
+            word
+        }
+    }
+
+    /// Whether `set` holds no node but the left-out one.
+    fn is_empty_in(self, set: &[u64]) -> bool {
+        (0..set.len()).all(|index| self.word(set, index) == 0)
+    }
+
+    /// The number of nodes of `set` other than the left-out one.
+    fn len_in(self, set: &[u64]) -> u32 {
+        (0..set.len())
+            .map(|index| self.word(set, index).count_ones())
+            .sum()
+    }
+
+    /// Whether `a ⊆ b` once the left-out node is removed from both.
+    fn subset(self, a: &[u64], b: &[u64]) -> bool {
+        (0..a.len()).all(|index| self.word(a, index) & !b.get(index).copied().unwrap_or(0) == 0)
+    }
+
+    /// Adds `set` to `union`, which never holds the left-out node: so a
+    /// set that holds it still misses the union wherever its other nodes do.
+    fn add_to_union(self, union: &mut Vec<u64>, set: &[u64]) {
+        if union.len() < set.len() {
+            union.resize(set.len(), 0);
+        }
+        for (word, bits) in union.iter_mut().zip(set) {
+            *word |= bits;
+        }
+        if let Some(word) = union.get_mut(self.word) {
+            *word &= !self.bit;
+        }
+    }
+}
+
 fn disjoint(a: &[u64], b: &[u64]) -> bool {
     a.iter().zip(b).all(|(x, y)| x & y == 0)
-}
-
-/// Whether `a ⊆ b`, for canonical (trailing-zero-free) words.
-fn subset(a: &[u64], b: &[u64]) -> bool {
-    a.len() <= b.len() && a.iter().zip(b).all(|(x, y)| x & !y == 0)
-}
-
-fn or_into(union: &mut [u64], set: &[u64]) {
-    for (word, bits) in union.iter_mut().zip(set) {
-        *word |= bits;
-    }
 }
 
 #[cfg(test)]
@@ -515,54 +590,77 @@ mod tests {
         assert_eq!(all_simple_paths(&g, n(0), n(4)).len(), 16);
     }
 
-    /// The internal node sets of `candidates`, the input of
-    /// [`has_disjoint_family`].
-    fn internal_sets(candidates: &[Path]) -> Vec<NodeSet> {
+    /// The member sets of `candidates` minus their last node: the relay
+    /// paths a receiver indexes, which all hold the origin.
+    fn relay_sets(candidates: &[Path]) -> Vec<NodeSet> {
         candidates
             .iter()
-            .map(|path| path.internal_nodes().collect())
+            .map(|path| path.nodes()[..path.len() - 1].iter().copied().collect())
             .collect()
+    }
+
+    /// A relay member set from origin 0: `ids` plus node 0.
+    fn relay(ids: &[usize]) -> NodeSet {
+        let mut members = set(ids);
+        members.insert(n(0));
+        members
+    }
+
+    /// [`has_disjoint_family`] over `sets` in the given order, node 0 left
+    /// out.
+    fn family(sets: &[NodeSet], k: usize) -> bool {
+        has_disjoint_family(sets.iter().map(NodeSet::as_words), n(0), k)
     }
 
     #[test]
     fn disjoint_family_on_uv_paths() {
         // uv-paths share both endpoints; only internal disjointness matters.
         let g = generators::cycle(5);
-        let candidates = internal_sets(&all_simple_paths(&g, n(0), n(2)));
-        assert!(has_disjoint_family(candidates.clone(), 2));
-        assert!(!has_disjoint_family(candidates.clone(), 3));
-        assert!(has_disjoint_family(candidates, 0));
-        assert!(has_disjoint_family(Vec::new(), 0));
-        assert!(!has_disjoint_family(Vec::new(), 1));
+        let candidates = relay_sets(&all_simple_paths(&g, n(0), n(2)));
+        assert!(family(&candidates, 2));
+        assert!(!family(&candidates, 3));
+        assert!(family(&candidates, 0));
+        assert!(family(&[], 0));
+        assert!(!family(&[], 1));
     }
 
     #[test]
     fn empty_sets_count_without_limit() {
-        // Every empty set is a direct edge, disjoint even from another one.
-        assert!(has_disjoint_family(vec![NodeSet::new(); 4], 4));
-        assert!(!has_disjoint_family(vec![NodeSet::new(); 4], 5));
-        let mut sets = vec![NodeSet::new(); 3];
-        sets.push(set(&[1, 2]));
-        assert!(has_disjoint_family(sets, 4));
+        // Every set holding only the origin is a direct edge, disjoint even
+        // from another one.
+        assert!(family(&vec![relay(&[]); 4], 4));
+        assert!(!family(&vec![relay(&[]); 4], 5));
+        let mut sets = vec![relay(&[]); 3];
+        sets.push(relay(&[1, 2]));
+        assert!(family(&sets, 4));
     }
 
     #[test]
     fn equal_non_empty_sets_conflict() {
-        assert!(!has_disjoint_family(vec![set(&[3]); 5], 2));
-        assert!(!has_disjoint_family(vec![set(&[1, 2]), set(&[1, 2])], 2));
-        assert!(has_disjoint_family(
-            vec![set(&[3]), set(&[3]), NodeSet::new()],
-            2
-        ));
+        assert!(!family(&vec![relay(&[3]); 5], 2));
+        assert!(!family(&[relay(&[1, 2]), relay(&[1, 2])], 2));
+        assert!(family(&[relay(&[3]), relay(&[3]), relay(&[])], 2));
     }
 
     #[test]
     fn pairwise_intersecting_sets_without_a_common_node() {
         // {a,b}, {b,c}, {a,c}: every pair meets and no node is in all three,
         // so even the minimal-set search must answer no for k = 2.
-        let sets = vec![set(&[1, 2]), set(&[2, 3]), set(&[1, 3])];
-        assert!(has_disjoint_family(sets.clone(), 1));
-        assert!(!has_disjoint_family(sets, 2));
+        let sets = [relay(&[1, 2]), relay(&[2, 3]), relay(&[1, 3])];
+        assert!(family(&sets, 1));
+        assert!(!family(&sets, 2));
+    }
+
+    #[test]
+    fn first_fit_miss_in_arrival_order_is_recovered() {
+        // The long set arrives first and meets both short ones, which are
+        // disjoint: the in-order pass picks it and stops at one.
+        let mut sets = vec![relay(&[1, 2, 3, 4]), relay(&[1, 5]), relay(&[4, 6])];
+        assert!(family(&sets, 2));
+        assert!(!family(&sets, 3));
+        sets.push(relay(&[]));
+        assert!(family(&sets, 3));
+        assert!(!family(&sets, 4));
     }
 
     #[test]
@@ -570,36 +668,43 @@ mod tests {
         // Greedy takes {2, 3} first and then finds nothing disjoint from it.
         // The search drops {3, 4, 5, 8}, a superset of {3, 4, 5}, and finds
         // {1, 2, 9}, {3, 4, 5} in place of {1, 2, 9}, {3, 4, 5, 8}.
-        let sets = vec![
-            set(&[3, 4, 5, 8]),
-            set(&[1, 2, 9]),
-            set(&[2, 3]),
-            set(&[3, 4, 5]),
+        let sets = [
+            relay(&[2, 3]),
+            relay(&[3, 4, 5, 8]),
+            relay(&[1, 2, 9]),
+            relay(&[3, 4, 5]),
         ];
-        assert!(has_disjoint_family(sets.clone(), 2));
-        assert!(!has_disjoint_family(sets, 3));
-        let nested = vec![set(&[4]), set(&[4, 5]), set(&[4, 5, 6])];
-        assert!(!has_disjoint_family(nested, 2));
+        assert!(family(&sets, 2));
+        assert!(!family(&sets, 3));
+        let nested = [relay(&[4]), relay(&[4, 5]), relay(&[4, 5, 6])];
+        assert!(!family(&nested, 2));
     }
 
     #[test]
     fn greedy_miss_is_recovered_by_the_search() {
         // Smallest first, greedy picks {2, 3}, which blocks both {1, 2, 5}
         // and {3, 4, 6}; those two are the answer for k = 2.
-        let mut sets = vec![set(&[1, 2, 5]), set(&[3, 4, 6]), set(&[2, 3])];
-        assert!(has_disjoint_family(sets.clone(), 2));
-        assert!(!has_disjoint_family(sets.clone(), 3));
+        let mut sets = vec![relay(&[2, 3]), relay(&[1, 2, 5]), relay(&[3, 4, 6])];
+        assert!(family(&sets, 2));
+        assert!(!family(&sets, 3));
         // The direct edge joins that family; it must not stand in for it.
-        sets.push(NodeSet::new());
-        assert!(has_disjoint_family(sets.clone(), 3));
-        assert!(!has_disjoint_family(sets, 4));
+        sets.push(relay(&[]));
+        assert!(family(&sets, 3));
+        assert!(!family(&sets, 4));
     }
 
     #[test]
     fn sets_above_64_nodes_use_every_word() {
-        let far = set(&[70]);
-        let both = set(&[3, 70]);
-        assert!(!has_disjoint_family(vec![far.clone(), both.clone()], 2));
-        assert!(has_disjoint_family(vec![far, set(&[3]), both], 2));
+        let far = relay(&[70]);
+        let both = relay(&[3, 70]);
+        assert!(!family(&[far.clone(), both.clone()], 2));
+        assert!(family(&[far, relay(&[3]), both], 2));
+        // A left-out node in the second word: {70} alone is the direct
+        // edge, and {3, 70} is {3}.
+        let words =
+            |sets: &[NodeSet], k| has_disjoint_family(sets.iter().map(NodeSet::as_words), n(70), k);
+        assert!(words(&[set(&[70]), set(&[3, 70]), set(&[3])], 2));
+        assert!(!words(&[set(&[3, 70]), set(&[3])], 2));
+        assert!(words(&[set(&[3, 70]), set(&[4, 70]), set(&[70])], 3));
     }
 }

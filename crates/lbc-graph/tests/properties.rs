@@ -212,21 +212,76 @@ fn disjoint_family_oracle(sets: &[NodeSet], k: usize) -> bool {
     pick(sets, k, 0, &mut Vec::new())
 }
 
-/// The internal node sets of `candidates`, the search's input.
-fn internal_sets(candidates: &[Path]) -> Vec<NodeSet> {
+/// The relay member sets of `candidates`, as a receiver indexes them: each
+/// path minus its last node, so every set holds the origin.
+fn relay_sets(candidates: &[Path]) -> Vec<NodeSet> {
     candidates
         .iter()
-        .map(|path| path.internal_nodes().collect())
+        .map(|path| path.nodes()[..path.len() - 1].iter().copied().collect())
         .collect()
+}
+
+/// `sets` with `leave` removed from each: the internal node sets the brute
+/// force compares.
+fn without(sets: &[NodeSet], leave: NodeId) -> Vec<NodeSet> {
+    sets.iter()
+        .map(|set| {
+            let mut set = set.clone();
+            set.remove(leave);
+            set
+        })
+        .collect()
+}
+
+/// `has_disjoint_family` on `sets` with `leave` left out, in three orders:
+/// as given, reversed, and rotated left by `turn`. The order steers the
+/// in-order first pass, never the answer.
+fn in_three_orders(sets: &[NodeSet], leave: NodeId, k: usize, turn: usize) -> [bool; 3] {
+    let words = |order: Vec<&NodeSet>| {
+        paths::has_disjoint_family(order.into_iter().map(NodeSet::as_words), leave, k)
+    };
+    let turn = if sets.is_empty() {
+        0
+    } else {
+        turn % sets.len()
+    };
+    [
+        words(sets.iter().collect()),
+        words(sets.iter().rev().collect()),
+        words(sets[turn..].iter().chain(&sets[..turn]).collect()),
+    ]
+}
+
+/// Sets over six nodes from bitmasks, each also holding `leave`, plus
+/// `empties` sets holding only `leave` (direct edges). `node` places bit
+/// `i` of a mask.
+fn masked_sets(
+    masks: &[u64],
+    empties: usize,
+    leave: NodeId,
+    node: impl Fn(usize) -> NodeId,
+) -> Vec<NodeSet> {
+    let mut sets: Vec<NodeSet> = masks
+        .iter()
+        .map(|mask| {
+            let mut set: NodeSet = (0..6).filter(|i| mask >> i & 1 == 1).map(&node).collect();
+            set.insert(leave);
+            set
+        })
+        .collect();
+    sets.extend((0..empties).map(|_| NodeSet::singleton(leave)));
+    sets
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// `has_disjoint_family` answers exactly like the brute force on
-    /// multisets of `uv`-paths: drawn from every simple path, or only from
-    /// those through one node (the copies of a value forged there), with
-    /// one candidate twice and up to two copies of the direct edge.
+    /// multisets of `uv`-paths, in three arrival orders: drawn from every
+    /// simple path, or only from those through one node (the copies of a
+    /// value forged there), with one candidate twice and up to two copies
+    /// of the direct edge. Each candidate is its relay member set, origin
+    /// `u` included, with `u` left out.
     #[test]
     fn disjoint_family_matches_brute_force(
         graph_index in 0usize..SEARCH_GRAPHS,
@@ -235,6 +290,7 @@ proptest! {
         picks in prop::collection::vec(0usize..100_000, 0..12),
         through in 0usize..12,
         direct in 0usize..3,
+        turn in 0usize..16,
     ) {
         let g = search_graph(graph_index);
         let n = g.node_count();
@@ -254,36 +310,63 @@ proptest! {
             candidates.push(first);
         }
         candidates.extend((0..direct).map(|_| Path::from_nodes([u, v])));
-        let sets = internal_sets(&candidates);
+        let sets = relay_sets(&candidates);
+        let internal = without(&sets, u);
         for k in 0..=4 {
+            let expected = disjoint_family_oracle(&internal, k);
             prop_assert_eq!(
-                paths::has_disjoint_family(sets.clone(), k),
-                disjoint_family_oracle(&sets, k),
-                "graph {}, {}-{}, k = {}, candidates {:?}",
-                graph_index, u, v, k, candidates
+                in_three_orders(&sets, u, k, turn),
+                [expected; 3],
+                "graph {}, {}-{}, k = {}, turn {}, candidates {:?}",
+                graph_index, u, v, k, turn, candidates
             );
         }
     }
 
     /// The same comparison on arbitrary families of sets over six nodes,
-    /// plus up to two empty sets. Here smallest-first greedy often takes a
-    /// set that blocks the answer, so the minimal-set search decides.
+    /// each also holding the left-out node 6, plus up to two sets holding
+    /// only it. Here smallest-first greedy often takes a set that blocks
+    /// the answer, so the minimal-set search decides.
     #[test]
     fn disjoint_family_matches_brute_force_on_arbitrary_sets(
         masks in prop::collection::vec(1u64..64, 0..10),
         empties in 0usize..3,
+        turn in 0usize..16,
     ) {
-        let mut sets: Vec<NodeSet> = masks
-            .iter()
-            .map(|mask| (0..6).filter(|i| mask >> i & 1 == 1).map(NodeId::new).collect())
-            .collect();
-        sets.extend((0..empties).map(|_| NodeSet::new()));
+        let leave = NodeId::new(6);
+        let sets = masked_sets(&masks, empties, leave, NodeId::new);
+        let internal = without(&sets, leave);
         for k in 0..=5 {
+            let expected = disjoint_family_oracle(&internal, k);
             prop_assert_eq!(
-                paths::has_disjoint_family(sets.clone(), k),
-                disjoint_family_oracle(&sets, k),
-                "k = {}, sets {:?}",
-                k, sets
+                in_three_orders(&sets, leave, k, turn),
+                [expected; 3],
+                "k = {}, turn {}, sets {:?}",
+                k, turn, sets
+            );
+        }
+    }
+
+    /// The same on sets that straddle the 64-node word boundary (nodes 58
+    /// to 108), with the left-out node in the second or third word. It may
+    /// also be one of the six nodes, which then never counts as internal.
+    #[test]
+    fn disjoint_family_matches_brute_force_above_64_nodes(
+        masks in prop::collection::vec(1u64..64, 0..10),
+        empties in 0usize..3,
+        leave in 64usize..192,
+        turn in 0usize..16,
+    ) {
+        let leave = NodeId::new(leave);
+        let sets = masked_sets(&masks, empties, leave, |i| NodeId::new(58 + 10 * i));
+        let internal = without(&sets, leave);
+        for k in 0..=5 {
+            let expected = disjoint_family_oracle(&internal, k);
+            prop_assert_eq!(
+                in_three_orders(&sets, leave, k, turn),
+                [expected; 3],
+                "k = {}, left out {}, turn {}, sets {:?}",
+                k, leave, turn, sets
             );
         }
     }
@@ -297,19 +380,22 @@ fn paths_through_one_node_never_form_a_pair() {
     for index in 0..SEARCH_GRAPHS {
         let g = search_graph(index);
         let (u, v) = (NodeId::new(0), NodeId::new(g.node_count() / 2));
+        let family = |sets: &[NodeSet], k| {
+            paths::has_disjoint_family(sets.iter().map(NodeSet::as_words), u, k)
+        };
         for through in g.nodes().filter(|&w| w != u && w != v) {
-            let mut forged = internal_sets(
+            let mut forged = relay_sets(
                 &paths::all_simple_paths(&g, u, v)
                     .into_iter()
                     .filter(|path| path.internal_nodes().any(|w| w == through))
                     .collect::<Vec<_>>(),
             );
             assert!(!forged.is_empty(), "graph {index}, through {through}");
-            assert!(paths::has_disjoint_family(forged.clone(), 1));
-            assert!(!paths::has_disjoint_family(forged.clone(), 2));
-            forged.push(NodeSet::new());
-            assert!(paths::has_disjoint_family(forged.clone(), 2));
-            assert!(!paths::has_disjoint_family(forged, 3));
+            assert!(family(&forged, 1));
+            assert!(!family(&forged, 2));
+            forged.push(NodeSet::singleton(u));
+            assert!(family(&forged, 2));
+            assert!(!family(&forged, 3));
         }
     }
 }
@@ -321,15 +407,10 @@ fn all_simple_paths_hold_the_menger_number() {
     for index in 0..SEARCH_GRAPHS {
         let g = search_graph(index);
         let (u, v) = (NodeId::new(0), NodeId::new(g.node_count() / 2));
-        let sets = internal_sets(&paths::all_simple_paths(&g, u, v));
+        let sets = relay_sets(&paths::all_simple_paths(&g, u, v));
+        let family = |k| paths::has_disjoint_family(sets.iter().map(NodeSet::as_words), u, k);
         let menger = paths::max_disjoint_uv_paths(&g, u, v, usize::MAX);
-        assert!(
-            paths::has_disjoint_family(sets.clone(), menger),
-            "graph {index}"
-        );
-        assert!(
-            !paths::has_disjoint_family(sets, menger + 1),
-            "graph {index}"
-        );
+        assert!(family(menger), "graph {index}");
+        assert!(!family(menger + 1), "graph {index}");
     }
 }

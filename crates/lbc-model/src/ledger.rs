@@ -857,13 +857,6 @@ impl SharedFloodLedger {
         self.inner.borrow_mut().begin_session()
     }
 
-    /// The first value recorded for a relay key. See
-    /// [`FloodLedger::relay_value`].
-    #[must_use]
-    pub fn relay_value(&self, channel: ChannelId, relay: PathId) -> Option<Value> {
-        self.inner.borrow().relay_value(channel, relay)
-    }
-
     /// Enables or disables the channel-event log. See
     /// [`FloodLedger::set_event_log`].
     pub fn set_event_log(&self, enabled: bool) {
@@ -1270,6 +1263,6 @@ mod tests {
             clone.borrow_mut().record_relay(ch, pid(3), Value::One),
             Value::One
         );
-        assert_eq!(shared.relay_value(ch, pid(3)), Some(Value::One));
+        assert_eq!(shared.borrow().relay_value(ch, pid(3)), Some(Value::One));
     }
 }

@@ -176,7 +176,9 @@ impl AsyncRegime {
     /// and the edge — a *fixed* per-edge lag is what produces persistent
     /// cross-sender skew while keeping per-edge FIFO trivially satisfied —
     /// and the simulator additionally clamps deliveries to per-edge FIFO
-    /// order.
+    /// order. Since a lag depends only on the edge, the simulator calls
+    /// this once per directed edge per chain and keeps the answers in a
+    /// table.
     #[must_use]
     pub fn lag(&self, from: usize, to: usize, node_count: usize) -> u64 {
         // `delay == 0` is rejected at every construction surface (JSON

@@ -10,12 +10,14 @@
 //! There are two loops, one per delivery discipline: the lockstep loop of
 //! the synchronous regime and the event-scheduled loop of the asynchronous
 //! and partial-synchrony regimes. The lockstep loop stays separate although
-//! an event loop with a lag-1 FIFO schedule delivers the same messages: the
-//! traced benchmark baseline (`benchmark/README.md`) measures 4.1 ns of
-//! simulator time per delivery in the lockstep loop (dense-sync) against
-//! 16.6 ns in the event loop (async-circulant). At dense-sync's 54.5 M
-//! deliveries per repetition, that difference is about 0.68 s against
-//! 2.48 s of busy time. A lag-1 event schedule was not measured.
+//! an event loop with a lag-1 FIFO schedule delivers the same messages.
+//! Traced benchmark runs (`benchmark/README.md`; two per workload on a
+//! 2-vCPU Xeon) measure 3.6–4.8 ns of simulator time per delivery in the
+//! lockstep loop (dense-sync, 54.5 M deliveries per repetition) against
+//! 12.8–13.2 ns in the event loop (async-circulant), which reads each
+//! edge's lag from a table filled once per chain. Run on the event loop
+//! under a lag-1 `fifo` schedule, dense-sync took 18 % longer end to end
+//! (ROADMAP item 1, measured before the lag table).
 //!
 //! Both loops emit the step events of an attached observer —
 //! `StepStart`, `Transmission` (stamped with the step that produced it),
@@ -46,7 +48,7 @@
 //! transmission — the chained schedule is a conforming schedule, so
 //! schedule-invariant protocols decide exactly as they would one-shot.
 
-use lbc_model::{AdversarialSchedule, AsyncRegime, NodeId, Regime, Round, Value};
+use lbc_model::{AdversarialSchedule, NodeId, Regime, Round, Value};
 use lbc_telemetry::{Event, MessageView, Moment};
 
 use crate::adversary::Adversary;
@@ -118,7 +120,11 @@ struct AsyncRetiring<P: Protocol> {
 /// Event-loop state of a chained asynchronous / partial-synchrony run,
 /// persisting across instance boundaries.
 struct AsyncChainState<P: Protocol> {
-    config: AsyncRegime,
+    /// `lags[from * n + to]`: the scheduler lag of every directed edge,
+    /// drawn once per chain from [`lbc_model::AsyncRegime::lag`] and
+    /// clamped to `1..=D`. A lag depends only on the edge, so no event
+    /// draws one.
+    lags: Vec<u64>,
     pre: Option<AdversarialSchedule>,
     /// The execution-wide transmission buffer (append-only across the whole
     /// chain; slots are stable identifiers).
@@ -483,7 +489,7 @@ impl<P: Protocol> Network<P> {
             // A retiring tail is past its instance's hold window: fair
             // scheduling only.
             self.enqueue_async(
-                &st.config,
+                &st.lags,
                 None,
                 outgoing,
                 step + 1,
@@ -519,7 +525,7 @@ impl<P: Protocol> Network<P> {
         );
         let psync = st.pre.map(|p| (st.gst_abs, p));
         self.enqueue_async(
-            &st.config,
+            &st.lags,
             psync,
             outgoing,
             step + 1,
@@ -575,8 +581,14 @@ impl<P: Protocol> Network<P> {
         let horizon = config.delay as usize + 1;
         let mut reports: Vec<InstanceReport> = Vec::with_capacity(instances);
         let mut stats = ChainStats::default();
+        let lags = (0..n * n)
+            .map(|edge| {
+                let lag = config.lag(edge / n, edge % n, n);
+                lag.clamp(1, u64::from(config.delay))
+            })
+            .collect();
         let mut st = AsyncChainState::<P> {
-            config,
+            lags,
             pre,
             buffer: Vec::new(),
             owner: Vec::new(),
@@ -667,7 +679,7 @@ impl<P: Protocol> Network<P> {
             // instance's first executed step: with the minimum lag of 1
             // they land on that step, exactly as under the lockstep loop.
             self.enqueue_async(
-                &st.config,
+                &st.lags,
                 psync,
                 pending,
                 st.global,
@@ -720,7 +732,7 @@ mod tests {
     use crate::adversary::honest_adversary;
     use crate::protocol::{EchoOnce, Inbox, NodeContext};
     use lbc_graph::generators;
-    use lbc_model::{CommModel, NodeSet, SchedulerKind};
+    use lbc_model::{AsyncRegime, CommModel, NodeSet, SchedulerKind};
     use lbc_telemetry::ObserverHandle;
 
     fn echo_nodes(n: usize, flip: bool) -> Vec<EchoOnce> {
@@ -881,6 +893,52 @@ mod tests {
                     "{}",
                     scheduler.name()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn scheduled_lags_are_the_regime_lags_of_their_edges() {
+        // The event loop reads each edge's lag from a table filled once per
+        // chain. Every `Scheduled` event of every instance must carry the
+        // lag `AsyncRegime::lag` draws for its direction of the edge.
+        for scheduler in SchedulerKind::all() {
+            let config = AsyncRegime {
+                scheduler,
+                delay: 4,
+                seed: 99,
+            };
+            let drawn =
+                |from: NodeId, to: NodeId| config.lag(from.index(), to.index(), 5).clamp(1, 4);
+            let (observer, recorder) = ObserverHandle::recorder();
+            let mut net = network(5).with_observer(observer);
+            let regime = Regime::Asynchronous(config);
+            let (reports, _) = net.run_chain(&regime, &mut honest_adversary(), 40, 3, |k| {
+                echo_nodes(5, k % 2 == 1)
+            });
+            assert!(reports.iter().all(|r| r.all_non_faulty_terminated));
+            let mut scheduled = 0;
+            let mut asymmetric = false;
+            for event in recorder.borrow().events() {
+                let Event::Scheduled { from, to, lag, .. } = event else {
+                    continue;
+                };
+                assert_eq!(
+                    *lag,
+                    drawn(*from, *to),
+                    "{}: {from}->{to}",
+                    scheduler.name()
+                );
+                asymmetric |= drawn(*from, *to) != drawn(*to, *from);
+                scheduled += 1;
+            }
+            // Three instances of five nodes, each broadcasting once to its
+            // two cycle neighbours.
+            assert_eq!(scheduled, 30, "{}", scheduler.name());
+            // Edge-lag draws each direction separately, so a table indexed
+            // `to * n + from` would fail the check above.
+            if scheduler == SchedulerKind::EdgeLag {
+                assert!(asymmetric, "no edge with different lags each way");
             }
         }
     }

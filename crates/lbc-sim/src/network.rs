@@ -240,7 +240,9 @@ impl<P: Protocol> Network<P> {
 
     /// Applies the communication model to freshly collected transmissions
     /// and schedules one delivery event per `(transmission, receiver)` pair.
-    /// `base` is the earliest step a lag-1 delivery may land on. Under
+    /// `base` is the earliest step a lag-1 delivery may land on, and
+    /// `lags[from * n + to]` is the edge's lag in `1..=D`, drawn once per
+    /// chain from [`lbc_model::AsyncRegime::lag`]. Under
     /// partial synchrony (`psync = Some`), events of held senders with
     /// `base < gst` go to `held` instead of the ring, and the edge's FIFO
     /// clamp advances to `gst` so later fair deliveries on that edge cannot
@@ -251,7 +253,7 @@ impl<P: Protocol> Network<P> {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn enqueue_async(
         &self,
-        config: &lbc_model::AsyncRegime,
+        lags: &[u64],
         psync: Option<(u64, lbc_model::AdversarialSchedule)>,
         pending: Vec<Vec<Outgoing<P::Message>>>,
         base: u64,
@@ -280,9 +282,7 @@ impl<P: Protocol> Network<P> {
                     return;
                 }
             }
-            let lag = config
-                .lag(from.index(), to.index(), n)
-                .clamp(1, horizon - 1);
+            let lag = lags[edge];
             // `base` is already the lag-1 landing step, so the extra lag
             // beyond 1 is added on top; the FIFO clamp keeps one edge's
             // deliveries in transmission order.

@@ -6,13 +6,19 @@
 # every instance correct and the per-tag ledger-channel occupancy bounded
 # (<= 2 live / <= 3 allocated — the chained driver must retire instance
 # k-2's session as instance k starts, not accumulate channels).
+#
+# It then runs the benchmark's serve-chain spec (Figure 1b, f = 1, a sync
+# lane and an edge-lag-d3 lane, 1000 instances each) under --strict at 1
+# and 2 workers with byte-identical reports. No other serve lane runs on an
+# edge-lag schedule, where Definition C.1 decides most of an instance's
+# receipts. The gate only reads the spec file.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${LBC_SERVE_OUT:-target/lbc-serve-smoke}"
 SPEC="examples/campaigns/serve_smoke.json"
 rm -rf "$OUT"
-mkdir -p "$OUT/w1" "$OUT/w2" "$OUT/w8"
+mkdir -p "$OUT/w1" "$OUT/w2" "$OUT/w8" "$OUT/chain-w1" "$OUT/chain-w2"
 
 cargo build --release --bin lbc
 
@@ -44,4 +50,9 @@ assert instances == expected, f"{instances} instance records, expected {expected
 print(f"report verdicts ok: {instances} instances, channels bounded in every lane")
 EOF
 
-echo "serve smoke OK: strict verdicts + byte-identical reports at 1/2/8 workers + bounded channels"
+CHAIN=benchmark/workloads/serve_chain.json
+./target/release/lbc serve "$CHAIN" --strict --quiet --workers 1 --out "$OUT/chain-w1"
+./target/release/lbc serve "$CHAIN" --strict --quiet --workers 2 --out "$OUT/chain-w2"
+cmp "$OUT/chain-w1/serve-1000.serve.report.json" "$OUT/chain-w2/serve-1000.serve.report.json"
+
+echo "serve smoke OK: strict verdicts + byte-identical reports at 1/2/8 workers + bounded channels + serve-chain edge-lag lane at 1/2 workers"

@@ -309,19 +309,46 @@ fn step_accounting_is_pinned_in_both_loops() {
 /// every correct origin's input and never its flip.
 #[test]
 fn async_reliable_sets_hold_every_correct_input_under_tampering() {
-    let edge_lag = Regime::Asynchronous(AsyncRegime {
-        scheduler: SchedulerKind::EdgeLag,
-        delay: 4,
-        seed: 7,
-    });
-    for (n, faulty, bits) in [(9, 3, 0b0_1101_1001), (11, 5, 0b101_1001_1010)] {
-        let graph = generators::circulant(n, &[1, 2]);
+    let edge_lag = |delay, seed| {
+        Regime::Asynchronous(AsyncRegime {
+            scheduler: SchedulerKind::EdgeLag,
+            delay,
+            seed,
+        })
+    };
+    let cells = [
+        (
+            "C9(1,2)",
+            generators::circulant(9, &[1, 2]),
+            edge_lag(4, 7),
+            3,
+            0b0_1101_1001,
+        ),
+        (
+            "C11(1,2)",
+            generators::circulant(11, &[1, 2]),
+            edge_lag(4, 7),
+            5,
+            0b101_1001_1010,
+        ),
+        // The serve-chain benchmark's edge-lag lane: Figure 1b, f = 1,
+        // edge-lag d3, node 3 faulty.
+        (
+            "fig1b",
+            generators::paper_fig1b(),
+            edge_lag(3, 909),
+            3,
+            0b1_0110_0101,
+        ),
+    ];
+    for (name, graph, regime, faulty, bits) in cells {
+        let n = graph.node_count();
         let inputs = InputAssignment::from_bits(n, bits);
         let faulty = NodeSet::singleton(NodeId::new(faulty));
         let (observer, events) = ObserverHandle::recorder();
         let (outcome, _) = runner::run_kind_observed(
             AlgorithmKind::AsyncFlood,
-            &edge_lag,
+            &regime,
             &graph,
             1,
             &inputs,
@@ -329,7 +356,7 @@ fn async_reliable_sets_hold_every_correct_input_under_tampering() {
             &mut Strategy::TamperRelays.into_adversary(),
             observer,
         );
-        assert!(outcome.verdict().is_correct(), "C{n}(1,2)");
+        assert!(outcome.verdict().is_correct(), "{name}");
         let mut decided = 0;
         for event in events.borrow().events() {
             let Event::NodeDecided { node, evidence, .. } = event else {
@@ -345,16 +372,16 @@ fn async_reliable_sets_hold_every_correct_input_under_tampering() {
                 }
                 assert!(
                     evidence.contains(&(origin, input)),
-                    "C{n}(1,2): {node} misses {origin}'s input {input}"
+                    "{name}: {node} misses {origin}'s input {input}"
                 );
                 assert!(
                     !evidence.contains(&(origin, input.flipped())),
-                    "C{n}(1,2): {node} accepted {origin}'s forged {}",
+                    "{name}: {node} accepted {origin}'s forged {}",
                     input.flipped()
                 );
             }
         }
-        assert_eq!(decided, n - 1, "C{n}(1,2)");
+        assert_eq!(decided, n - 1, "{name}");
     }
 }
 
