@@ -41,10 +41,12 @@
 //! record. The ledger keeps one slot table per flood kind — value floods
 //! ([`FloodLedger::relay_decode_at_slot`]) and Algorithm 2's report flood
 //! ([`FloodLedger::report_lookup_at_slot`]) — indexed by the transmission's
-//! inbox slot (`lbc_sim::Inbox::iter_indexed`) modulo a fixed power-of-two
-//! capacity. The first receiver of a slot decodes the message and fills the
-//! entry; every later receiver finds it there and does only its per-node
-//! work.
+//! number (the slot `lbc_sim::Inbox::iter_indexed` yields) modulo a fixed
+//! power-of-two capacity. The simulator gives a transmission one number
+//! from send to last delivery, also while the event loop drops delivered
+//! transmissions from its buffer, so all its receivers reach the same
+//! entry. The first receiver decodes the message and fills the entry;
+//! every later receiver finds it there and does only its per-node work.
 //!
 //! Each entry stores the full key it was filled for: the channel's serial
 //! (fresh on every open and retirement of a channel slot) and the wire
@@ -228,9 +230,9 @@ struct Channel {
 }
 
 /// Entries in a slot table. A power of two, so a slot number maps to its
-/// entry with one mask. The event loop's slot numbers run on across a whole
-/// chain; the mask keeps the table at this size however far they go. It must
-/// hold every transmission still in flight: on the benchmark's
+/// entry with one mask. The event loop's transmission numbers run on across
+/// a whole chain; the mask keeps the table at this size however far they
+/// go. It must hold every transmission still in flight: on the benchmark's
 /// `async_circulant.json` 2^16 entries decode each transmission exactly
 /// once, where 2^15 decode about one in five twice.
 const SLOT_TABLE_CAPACITY: usize = 1 << 16;

@@ -26,6 +26,24 @@
 //! the lockstep loop and on the chain's one scheduler clock in the event
 //! loop; the two agree for a chain of one.
 //!
+//! # Transmission numbers and the in-flight window
+//!
+//! A transmission lives once in a buffer, and inboxes, pending events and
+//! observer events name it by number. The lockstep loop refills its buffer
+//! every round and numbers the round's transmissions from 0. The event
+//! loop numbers transmissions 0, 1, 2, … across the whole chain and keeps
+//! them in a `Window` that holds only those that may still have a
+//! delivery pending: at a step boundary, once the window has doubled since
+//! its last cut (and holds at least 4,096 transmissions), it drops every
+//! transmission below the lowest one a due or held event still names. A
+//! fairly scheduled transmission is delivered within `D` steps of its
+//! send, so the window spans about the last `D` steps' traffic; held
+//! pre-GST events pin it until GST.
+//! Numbers never change, so [`crate::Inbox::iter_indexed`], the ledger's
+//! slot tables and `lbc trace` see the numbers a chain-long buffer would
+//! give, while memory stays O(transmissions in flight) however long the
+//! chain runs. [`ChainStats::max_in_flight`] records the widest window.
+//!
 //! # Isolation and overlap
 //!
 //! Instance `k + 1` starts while instance `k`'s flood tail is still in
@@ -99,6 +117,11 @@ pub struct ChainStats {
     pub arena_paths: usize,
     /// Steps in which a retiring instance's tail was still draining.
     pub drained_steps: usize,
+    /// Most transmissions the loop held at once: the event loop's window
+    /// at its widest, or the lockstep loop's current and draining rounds
+    /// together. Flat in the chain's length when delivered transmissions
+    /// are dropped.
+    pub max_in_flight: usize,
 }
 
 /// The previous instance's node set draining its synchronous tail.
@@ -117,6 +140,110 @@ struct AsyncRetiring<P: Protocol> {
     report: usize,
 }
 
+/// The window is not cut while it holds fewer transmissions than this, so
+/// a short run never scans its pending events.
+const CUT_FLOOR: usize = 4096;
+
+/// The event loop's transmissions that may still have a delivery pending: a
+/// window over the chain's transmissions that drops its delivered prefix.
+///
+/// Transmissions are numbered 0, 1, 2, … in the order the loop accepts
+/// them, across the whole chain, and a transmission keeps its number from
+/// send to last delivery: `buffer[i]` and `owner[i]` belong to transmission
+/// `first + i`. Pending events name transmissions by window index, which
+/// [`Window::cut`] shifts along with the buffer; observer events and
+/// [`crate::Inbox::iter_indexed`] see the number.
+pub(crate) struct Window<M> {
+    buffer: Vec<Delivery<M>>,
+    /// Emitting instance per buffered transmission: deliveries route to
+    /// that instance's node set only.
+    owner: Vec<u32>,
+    /// The number of the transmission in `buffer[0]`.
+    first: u64,
+    /// The window is cut again once it holds this many transmissions:
+    /// twice what the last cut kept, and at least [`CUT_FLOOR`].
+    next_cut: usize,
+    /// Most transmissions held at any cut check.
+    peak: usize,
+}
+
+impl<M> Window<M> {
+    fn new() -> Self {
+        Window {
+            buffer: Vec::new(),
+            owner: Vec::new(),
+            first: 0,
+            next_cut: CUT_FLOOR,
+            peak: 0,
+        }
+    }
+
+    /// Appends a transmission emitted by instance `owner` and returns its
+    /// window index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window already holds `u32::MAX` transmissions.
+    pub(crate) fn push(&mut self, delivery: Delivery<M>, owner: u32) -> u32 {
+        let index = u32::try_from(self.buffer.len()).expect("transmission window overflow");
+        self.buffer.push(delivery);
+        self.owner.push(owner);
+        index
+    }
+
+    /// The transmission at window index `index`.
+    pub(crate) fn get(&self, index: u32) -> &Delivery<M> {
+        &self.buffer[index as usize]
+    }
+
+    /// The chain-wide number of the transmission at window index `index`.
+    pub(crate) fn number(&self, index: u32) -> u64 {
+        self.first + u64::from(index)
+    }
+
+    /// The buffered transmissions and the number of the first, as
+    /// [`Network::collect_outgoing`] reads them.
+    fn view(&self) -> (&[Delivery<M>], u64) {
+        (&self.buffer, self.first)
+    }
+
+    /// At a step boundary, once the window has doubled since the last cut:
+    /// drops every transmission below the lowest index a pending event
+    /// (`due` or `held`) still names and shifts those events down by the
+    /// same amount. Each cut scans the pending events once and moves what
+    /// it keeps; the doubling rule makes both amortized O(1) per scheduled
+    /// event.
+    fn cut(&mut self, due: &mut [Vec<(u32, u32)>], held: &mut [(u32, u32)]) {
+        let len = self.buffer.len();
+        self.peak = self.peak.max(len);
+        if len < self.next_cut {
+            return;
+        }
+        let lowest = due
+            .iter()
+            .flatten()
+            .chain(held.iter())
+            .map(|&(index, _)| index as usize)
+            .min()
+            .unwrap_or(len);
+        if lowest > 0 {
+            self.buffer.drain(..lowest);
+            self.owner.drain(..lowest);
+            self.first += lowest as u64;
+            let shift = lowest as u32;
+            for (index, _) in due.iter_mut().flatten().chain(held.iter_mut()) {
+                *index -= shift;
+            }
+        }
+        self.next_cut = (2 * self.buffer.len()).max(CUT_FLOOR);
+    }
+
+    /// Most transmissions the window has held at once.
+    fn peak(&self) -> usize {
+        self.peak.max(self.buffer.len())
+    }
+}
+
 /// Event-loop state of a chained asynchronous / partial-synchrony run,
 /// persisting across instance boundaries.
 struct AsyncChainState<P: Protocol> {
@@ -126,21 +253,20 @@ struct AsyncChainState<P: Protocol> {
     /// draws one.
     lags: Vec<u64>,
     pre: Option<AdversarialSchedule>,
-    /// The execution-wide transmission buffer (append-only across the whole
-    /// chain; slots are stable identifiers).
-    buffer: Vec<Delivery<P::Message>>,
-    /// Emitting instance per buffer slot: deliveries route to that
-    /// instance's node set only.
-    owner: Vec<u32>,
-    /// `due[step % (D+1)]` = events due at `step`, filled at enqueue time.
-    /// A lag is at most `D`, so a ring of `D+1` step buckets always
-    /// suffices; held pre-GST events wait in `held` instead, so a large GST
-    /// does not demand a large ring.
+    /// The transmissions still in flight, stamped with their emitting
+    /// instance. A transmission leaves the window at the first cut after
+    /// its last delivery.
+    window: Window<P::Message>,
+    /// `due[step % (D+1)]` = `(window index, receiver)` events due at
+    /// `step`, filled at enqueue time. A lag is at most `D`, so a ring of
+    /// `D+1` step buckets always suffices; held pre-GST events wait in
+    /// `held` instead, so a large GST does not demand a large ring.
     due: Vec<Vec<(u32, u32)>>,
     /// Per-edge FIFO clamp: the last step any delivery was scheduled for
     /// on the `(sender, receiver)` edge.
     edge_last: Vec<u64>,
-    /// Held pre-GST events of the *current* instance, in slot order.
+    /// Held pre-GST events of the *current* instance, in transmission
+    /// order. They pin the window until they are released.
     held: Vec<(u32, u32)>,
     slots_cur: Vec<Vec<u32>>,
     slots_ret: Vec<Vec<u32>>,
@@ -224,7 +350,7 @@ impl<P: Protocol> Network<P> {
         regime: &Regime,
         adversary: &mut A,
         round: Round,
-        buffer: &[Delivery<P::Message>],
+        (buffer, first): (&[Delivery<P::Message>], u64),
         slots: &[Vec<u32>],
     ) -> Vec<Vec<Outgoing<P::Message>>>
     where
@@ -235,7 +361,7 @@ impl<P: Protocol> Network<P> {
             regime,
             adversary,
             Some(round),
-            buffer,
+            (buffer, first),
             slots,
             &mut RoundStats::default(),
         );
@@ -245,7 +371,8 @@ impl<P: Protocol> Network<P> {
 
     /// One lockstep round of the retiring set's tail: deliver its pending
     /// transmissions to its own nodes, collect their forwards, and drop the
-    /// set once it goes quiet.
+    /// set once it goes quiet. Returns how many transmissions the round
+    /// buffered (0 without a retiring set).
     fn sync_drain_round<A>(
         &mut self,
         retiring: &mut Option<SyncRetiring<P>>,
@@ -254,15 +381,18 @@ impl<P: Protocol> Network<P> {
         slots: &mut [Vec<u32>],
         reports: &mut [InstanceReport],
         stats: &mut ChainStats,
-    ) where
+    ) -> usize
+    where
         A: Adversary<P::Message>,
     {
-        let Some(r) = retiring.as_mut() else { return };
+        let Some(r) = retiring.as_mut() else { return 0 };
         stats.drained_steps += 1;
         let round = Round::new(r.round);
         let delivered = self.deliver(std::mem::take(&mut r.pending), buffer, slots, round);
+        stats.max_in_flight = stats.max_in_flight.max(buffer.len());
         let regime = Regime::Synchronous;
-        let pending = self.collect_retiring(&mut r.nodes, &regime, adversary, round, buffer, slots);
+        let pending =
+            self.collect_retiring(&mut r.nodes, &regime, adversary, round, (buffer, 0), slots);
         r.round += 1;
         reports[r.report].transmissions += delivered.transmissions;
         reports[r.report].deliveries += delivered.deliveries;
@@ -271,6 +401,7 @@ impl<P: Protocol> Network<P> {
         } else {
             r.pending = pending;
         }
+        buffer.len()
     }
 
     /// The lockstep loop: round `r`'s transmissions reach every receiver at
@@ -347,8 +478,14 @@ impl<P: Protocol> Network<P> {
             // Interference the adversary applies at collection time is
             // counted in the round that delivers the affected transmissions.
             let mut interference = RoundStats::default();
-            let mut pending =
-                self.collect_outgoing(&regime, adversary, None, &buffer, &slots, &mut interference);
+            let mut pending = self.collect_outgoing(
+                &regime,
+                adversary,
+                None,
+                (&buffer, 0),
+                &slots,
+                &mut interference,
+            );
             let mut local = 0u64;
             while (local as usize) < max_rounds {
                 if self.all_non_faulty_terminated() {
@@ -360,7 +497,7 @@ impl<P: Protocol> Network<P> {
                     break;
                 }
                 self.observer.emit(|| Event::StepStart { step: local });
-                self.sync_drain_round(
+                let draining = self.sync_drain_round(
                     &mut retiring,
                     adversary,
                     &mut ret_buffer,
@@ -370,6 +507,7 @@ impl<P: Protocol> Network<P> {
                 );
                 let round = Round::new(local);
                 let mut delivered = self.deliver(pending, &mut buffer, &mut slots, round);
+                stats.max_in_flight = stats.max_in_flight.max(draining + buffer.len());
                 reports[instance].transmissions += delivered.transmissions;
                 reports[instance].deliveries += delivered.deliveries;
                 delivered.add(&std::mem::take(&mut interference));
@@ -378,7 +516,7 @@ impl<P: Protocol> Network<P> {
                     &regime,
                     adversary,
                     Some(round),
-                    &buffer,
+                    (&buffer, 0),
                     &slots,
                     &mut interference,
                 );
@@ -442,7 +580,7 @@ impl<P: Protocol> Network<P> {
         let mut released = std::mem::take(&mut st.due[(step % horizon) as usize]);
         if st.pre.is_some() && step == st.gst_abs && !st.held.is_empty() {
             // The GST burst: every withheld pre-GST event lands now, merged
-            // into slot order with the step's fair deliveries.
+            // into transmission order with the step's fair deliveries.
             let count = st.held.len();
             current.burst_deliveries = count;
             self.observer.emit(|| Event::BurstRelease { step, count });
@@ -453,8 +591,8 @@ impl<P: Protocol> Network<P> {
         // instance's, so routing skips the owner lookup.
         released.sort_unstable();
         let routed = st.retiring.is_some();
-        for (slot, receiver) in released {
-            let inboxes = if !routed || st.owner[slot as usize] as usize == st.cur_report {
+        for (index, receiver) in released {
+            let inboxes = if !routed || st.window.owner[index as usize] as usize == st.cur_report {
                 current.deliveries += 1;
                 &mut st.slots_cur
             } else if let Some(r) = st.retiring.as_ref() {
@@ -464,13 +602,13 @@ impl<P: Protocol> Network<P> {
                 // Events of a hard-dropped instance (backstop only).
                 continue;
             };
-            inboxes[receiver as usize].push(slot);
+            inboxes[receiver as usize].push(index);
             self.observer.emit(|| Event::Delivery {
                 step,
                 to: NodeId::new(receiver as usize),
-                from: st.buffer[slot as usize].from,
-                slot,
-                meta: st.buffer[slot as usize].message.meta(&self.arena),
+                from: st.window.get(index).from,
+                slot: st.window.number(index),
+                meta: st.window.get(index).message.meta(&self.arena),
             });
         }
         reports[st.cur_report].deliveries += current.deliveries;
@@ -482,7 +620,7 @@ impl<P: Protocol> Network<P> {
                 regime,
                 adversary,
                 round,
-                &st.buffer,
+                st.window.view(),
                 &st.slots_ret,
             );
             let mut rs = RoundStats::default();
@@ -494,13 +632,13 @@ impl<P: Protocol> Network<P> {
                 outgoing,
                 step + 1,
                 Moment::Step(step),
-                &mut st.buffer,
+                &mut st.window,
+                r.report as u32,
                 &mut st.due,
                 &mut st.edge_last,
                 &mut st.held,
                 &mut rs,
             );
-            st.owner.resize(st.buffer.len(), r.report as u32);
             reports[r.report].transmissions += rs.transmissions;
         }
         if let Some(r) = st.retiring.as_ref() {
@@ -509,7 +647,7 @@ impl<P: Protocol> Network<P> {
                 .due
                 .iter()
                 .flatten()
-                .any(|(slot, _)| st.owner[*slot as usize] == report);
+                .any(|(index, _)| st.window.owner[*index as usize] == report);
             if !alive {
                 st.retiring = None;
             }
@@ -519,7 +657,7 @@ impl<P: Protocol> Network<P> {
             regime,
             adversary,
             Some(round),
-            &st.buffer,
+            st.window.view(),
             &st.slots_cur,
             &mut st.carried,
         );
@@ -530,14 +668,15 @@ impl<P: Protocol> Network<P> {
             outgoing,
             step + 1,
             Moment::Step(step),
-            &mut st.buffer,
+            &mut st.window,
+            st.cur_report as u32,
             &mut st.due,
             &mut st.edge_last,
             &mut st.held,
             &mut st.carried,
         );
-        st.owner.resize(st.buffer.len(), st.cur_report as u32);
         reports[st.cur_report].transmissions += st.carried.transmissions;
+        st.window.cut(&mut st.due, &mut st.held);
         st.global += 1;
         current
     }
@@ -545,15 +684,16 @@ impl<P: Protocol> Network<P> {
     /// The event-scheduled loop of the asynchronous and partial-synchrony
     /// regimes.
     ///
-    /// Transmissions are appended once to a chain-wide buffer whose slots
-    /// are stamped with their emitting instance; each `(transmission,
+    /// Transmissions are appended once to the in-flight [`Window`],
+    /// stamped with their emitting instance; each `(transmission,
     /// receiver)` pair becomes a delivery event scheduled `lag ∈ 1..=D`
     /// steps ahead by the regime's deterministic scheduler, clamped so
     /// per-edge FIFO order holds. Every step delivers the due events (in
     /// global transmission order per receiver) and runs every node's
     /// `on_round` hook, empty inbox or not. One global step counter runs
     /// through the whole chain, and the FIFO clamps carry across instance
-    /// boundaries.
+    /// boundaries. After each step the window may cut its delivered
+    /// prefix ([`Window::cut`]).
     ///
     /// Under partial synchrony a transmission whose earliest landing step
     /// is before GST and whose *sender* is in the hold-set is withheld from
@@ -590,8 +730,7 @@ impl<P: Protocol> Network<P> {
         let mut st = AsyncChainState::<P> {
             lags,
             pre,
-            buffer: Vec::new(),
-            owner: Vec::new(),
+            window: Window::new(),
             due: vec![Vec::new(); horizon],
             edge_last: vec![0; n * n],
             held: Vec::new(),
@@ -618,7 +757,7 @@ impl<P: Protocol> Network<P> {
                 if let Some(r) = st.retiring.take() {
                     let stale = r.report as u32;
                     for bucket in st.due.iter_mut() {
-                        bucket.retain(|(slot, _)| st.owner[*slot as usize] != stale);
+                        bucket.retain(|(index, _)| st.window.owner[*index as usize] != stale);
                     }
                 }
                 // An instance that ended before its GST (possible only for
@@ -629,10 +768,10 @@ impl<P: Protocol> Network<P> {
                 // restores the fairness bound for the next instance.
                 if !st.held.is_empty() {
                     let bucket = (st.global % horizon as u64) as usize;
-                    for (slot, to) in std::mem::take(&mut st.held) {
-                        let from = st.buffer[slot as usize].from.index();
+                    for (index, to) in std::mem::take(&mut st.held) {
+                        let from = st.window.get(index).from.index();
                         st.edge_last[from * n + to as usize] = st.global;
-                        st.due[bucket].push((slot, to));
+                        st.due[bucket].push((index, to));
                     }
                 }
                 self.ledger.begin_session();
@@ -648,7 +787,7 @@ impl<P: Protocol> Network<P> {
                     .due
                     .iter()
                     .flatten()
-                    .any(|(slot, _)| st.owner[*slot as usize] == previous);
+                    .any(|(index, _)| st.window.owner[*index as usize] == previous);
                 if has_tail {
                     st.retiring = Some(AsyncRetiring {
                         nodes: old,
@@ -670,7 +809,7 @@ impl<P: Protocol> Network<P> {
                 regime,
                 adversary,
                 None,
-                &st.buffer,
+                st.window.view(),
                 &st.slots_cur,
                 &mut st.carried,
             );
@@ -684,13 +823,13 @@ impl<P: Protocol> Network<P> {
                 pending,
                 st.global,
                 Moment::Start,
-                &mut st.buffer,
+                &mut st.window,
+                instance as u32,
                 &mut st.due,
                 &mut st.edge_last,
                 &mut st.held,
                 &mut st.carried,
             );
-            st.owner.resize(st.buffer.len(), instance as u32);
             reports[instance].transmissions += st.carried.transmissions;
 
             loop {
@@ -722,6 +861,7 @@ impl<P: Protocol> Network<P> {
             self.async_chain_step(&mut st, regime, adversary, &mut reports, &mut stats);
             guard += 1;
         }
+        stats.max_in_flight = st.window.peak();
         (reports, stats)
     }
 }
@@ -734,6 +874,8 @@ mod tests {
     use lbc_graph::generators;
     use lbc_model::{AsyncRegime, CommModel, NodeSet, SchedulerKind};
     use lbc_telemetry::ObserverHandle;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn echo_nodes(n: usize, flip: bool) -> Vec<EchoOnce> {
         (0..n)
@@ -770,15 +912,40 @@ mod tests {
             assert!(report.transmissions > 0, "instance {k} sent nothing");
         }
         assert!(stats.max_live_per_tag <= 2);
+        // The lockstep loop holds one round: each instance's five start
+        // broadcasts, and no tail.
+        assert_eq!(stats.max_in_flight, 5);
     }
 
-    /// Broadcasts its input at start and after each of its first three
-    /// rounds, deciding it after the third: every instance leaves a final
-    /// round undelivered, which the next instance drains.
+    /// `(receiver, sender, number)` for every delivery a [`Chatter`] read.
+    type ReadLog = Rc<RefCell<Vec<(NodeId, NodeId, u32)>>>;
+
+    /// Broadcasts its input at start and after each of its first `last`
+    /// rounds, deciding it after the `last`-th: every instance leaves a
+    /// final round undelivered, which the next instance drains. Logs what
+    /// it reads through [`Inbox::iter_indexed`] into `read`, which every
+    /// instance of a chain shares.
     #[derive(Debug)]
     struct Chatter {
         input: Value,
+        last: u64,
         rounds: u64,
+        read: ReadLog,
+    }
+
+    impl Chatter {
+        /// One node per vertex of C5, inputs alternating (flipped on
+        /// `flip`).
+        fn c5(last: u64, flip: bool, read: &ReadLog) -> Vec<Chatter> {
+            (0..5)
+                .map(|v| Chatter {
+                    input: Value::from((v % 2 == 0) ^ flip),
+                    last,
+                    rounds: 0,
+                    read: Rc::clone(read),
+                })
+                .collect()
+        }
     }
 
     impl Protocol for Chatter {
@@ -790,12 +957,17 @@ mod tests {
 
         fn on_round(
             &mut self,
-            _ctx: &NodeContext<'_>,
+            ctx: &NodeContext<'_>,
             _round: Round,
-            _inbox: Inbox<'_, Value>,
+            inbox: Inbox<'_, Value>,
         ) -> Vec<Outgoing<Value>> {
+            self.read.borrow_mut().extend(
+                inbox
+                    .iter_indexed()
+                    .map(|(number, delivery)| (ctx.id, delivery.from, number)),
+            );
             self.rounds += 1;
-            if self.rounds <= 3 {
+            if self.rounds <= self.last {
                 vec![Outgoing::Broadcast(self.input)]
             } else {
                 Vec::new()
@@ -803,34 +975,30 @@ mod tests {
         }
 
         fn output(&self) -> Option<Value> {
-            (self.rounds >= 3).then_some(self.input)
+            (self.rounds >= self.last).then_some(self.input)
         }
     }
 
     #[test]
     fn observed_sync_chain_stamps_transmissions_with_the_round_that_produced_them() {
-        let chatter = |flip: bool| -> Vec<Chatter> {
-            (0..5)
-                .map(|v| Chatter {
-                    input: Value::from((v % 2 == 0) ^ flip),
-                    rounds: 0,
-                })
-                .collect()
-        };
+        let read = ReadLog::default();
         let (observer, recorder) = ObserverHandle::recorder();
         let mut net = Network::new(
             generators::cycle(5),
             CommModel::LocalBroadcast,
             NodeSet::new(),
-            chatter(false),
+            Chatter::c5(3, false, &read),
         )
         .with_observer(observer);
         let (reports, stats) =
             net.run_chain(&Regime::Synchronous, &mut honest_adversary(), 10, 2, |_| {
-                chatter(true)
+                Chatter::c5(3, true, &read)
             });
         assert!(reports.iter().all(|r| r.all_non_faulty_terminated));
         assert!(stats.drained_steps > 0, "the first instance's tail drains");
+        // The drained tail and the second instance's start broadcasts are
+        // buffered in the same round.
+        assert_eq!(stats.max_in_flight, 10);
         let events = recorder.borrow().events().to_vec();
         // Each instance's five start broadcasts were produced at its start.
         let starts = events
@@ -939,6 +1107,143 @@ mod tests {
             // `to * n + from` would fail the check above.
             if scheduler == SchedulerKind::EdgeLag {
                 assert!(asymmetric, "no edge with different lags each way");
+            }
+        }
+    }
+
+    #[test]
+    fn window_cut_drops_only_what_no_pending_event_names() {
+        let mut window = Window::new();
+        for v in 0..CUT_FLOOR {
+            let from = NodeId::new(v % 5);
+            let index = window.push(
+                Delivery {
+                    from,
+                    message: Value::Zero,
+                },
+                0,
+            );
+            assert_eq!(window.number(index), v as u64);
+        }
+        // A held event pins transmission 50, below every due event.
+        let mut due = vec![vec![(4000, 1), (100, 2)], Vec::new()];
+        let mut held = vec![(50, 3)];
+        window.cut(&mut due, &mut held);
+        assert_eq!(window.first, 50);
+        assert_eq!(due, [vec![(3950, 1), (50, 2)], Vec::new()]);
+        assert_eq!(held, [(0, 3)]);
+        assert_eq!(window.number(0), 50);
+        assert_eq!(window.get(3950).from, NodeId::new(4000 % 5));
+        // Until the window doubles, a cut check changes nothing.
+        held.clear();
+        window.cut(&mut due, &mut held);
+        assert_eq!((window.first, window.buffer.len()), (50, CUT_FLOOR - 50));
+        // Once it has, the lowest pending index becomes the new start.
+        while window.buffer.len() < 2 * (CUT_FLOOR - 50) {
+            window.push(
+                Delivery {
+                    from: NodeId::new(0),
+                    message: Value::One,
+                },
+                1,
+            );
+        }
+        window.cut(&mut due, &mut held);
+        assert_eq!(window.first, 100);
+        assert_eq!(due, [vec![(3900, 1), (0, 2)], Vec::new()]);
+        // With nothing pending the whole window goes.
+        due.iter_mut().for_each(Vec::clear);
+        while window.buffer.len() < window.next_cut {
+            window.push(
+                Delivery {
+                    from: NodeId::new(0),
+                    message: Value::One,
+                },
+                1,
+            );
+        }
+        let sent = window.first + window.buffer.len() as u64;
+        window.cut(&mut due, &mut held);
+        assert_eq!((window.first, window.buffer.len()), (sent, 0));
+        assert_eq!(window.owner.len(), 0);
+        assert!(window.peak() >= 2 * (CUT_FLOOR - 50));
+    }
+
+    #[test]
+    fn event_loop_holds_only_transmissions_in_flight() {
+        let post = |scheduler| AsyncRegime {
+            scheduler,
+            delay: 3,
+            seed: 11,
+        };
+        let mut regimes: Vec<Regime> = SchedulerKind::all()
+            .into_iter()
+            .map(|scheduler| Regime::Asynchronous(post(scheduler)))
+            .collect();
+        // Node 0's first four steps of every instance are held until the
+        // instance's GST, so the window cuts with holds pending.
+        regimes.push(Regime::PartialSync {
+            gst: 4,
+            pre: AdversarialSchedule::holding(&[0]),
+            post: post(SchedulerKind::EdgeLag),
+        });
+        // Chatters that broadcast for six rounds send 35 transmissions an
+        // instance: both chains pass the cut floor, and the longer one
+        // sends many times what the window may hold.
+        let bound = 2 * CUT_FLOOR;
+        for regime in &regimes {
+            for instances in [400, 1600] {
+                let read = ReadLog::default();
+                let (observer, recorder) = ObserverHandle::recorder();
+                let mut net = Network::new(
+                    generators::cycle(5),
+                    CommModel::LocalBroadcast,
+                    NodeSet::new(),
+                    Chatter::c5(6, false, &read),
+                )
+                .with_observer(observer);
+                let (reports, stats) =
+                    net.run_chain(regime, &mut honest_adversary(), 40, instances, |k| {
+                        Chatter::c5(6, k % 2 == 1, &read)
+                    });
+                let cell = format!("{regime} x{instances}");
+                assert!(
+                    reports.iter().all(|r| r.all_non_faulty_terminated),
+                    "{cell}"
+                );
+                let sent: usize = reports.iter().map(|r| r.transmissions).sum();
+                assert!(sent > CUT_FLOOR, "{cell}: {sent} transmissions");
+                assert!(
+                    stats.max_in_flight <= bound,
+                    "{cell}: {} in flight",
+                    stats.max_in_flight
+                );
+                if instances == 1600 {
+                    assert!(sent > 6 * bound, "{cell}: {sent} transmissions");
+                }
+                // Numbers run 0, 1, 2, … across the chain, and every
+                // delivery names an earlier transmission of its sender.
+                let mut senders = Vec::new();
+                let mut delivered = Vec::new();
+                for event in recorder.borrow().events() {
+                    match event {
+                        Event::Transmission { from, slot, .. } => {
+                            assert_eq!(*slot, senders.len() as u64, "{cell}");
+                            senders.push(*from);
+                        }
+                        Event::Delivery { to, from, slot, .. } => {
+                            assert_eq!(senders.get(*slot as usize), Some(from), "{cell}");
+                            delivered.push((*to, *from, *slot as u32));
+                        }
+                        _ => {}
+                    }
+                }
+                assert_eq!(senders.len(), sent, "{cell}");
+                // What the protocols read is what the events name.
+                let mut read = read.borrow().clone();
+                read.sort_unstable();
+                delivered.sort_unstable();
+                assert_eq!(read, delivered, "{cell}");
             }
         }
     }

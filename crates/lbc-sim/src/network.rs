@@ -26,7 +26,7 @@ use lbc_telemetry::{Event, MessageView, Moment, ObserverHandle};
 
 use crate::adversary::Adversary;
 use crate::cancel::CancelToken;
-use crate::chain::InstanceReport;
+use crate::chain::{InstanceReport, Window};
 use crate::protocol::{Delivery, Inbox, NodeContext, Outgoing, Protocol};
 use crate::trace::{RoundStats, Trace};
 
@@ -238,7 +238,8 @@ impl<P: Protocol> Network<P> {
         }
     }
 
-    /// Applies the communication model to freshly collected transmissions
+    /// Applies the communication model to freshly collected transmissions,
+    /// appends each to `window` stamped with the emitting instance `owner`,
     /// and schedules one delivery event per `(transmission, receiver)` pair.
     /// `base` is the earliest step a lag-1 delivery may land on, and
     /// `lags[from * n + to]` is the edge's lag in `1..=D`, drawn once per
@@ -247,8 +248,8 @@ impl<P: Protocol> Network<P> {
     /// `base < gst` go to `held` instead of the ring, and the edge's FIFO
     /// clamp advances to `gst` so later fair deliveries on that edge cannot
     /// overtake the burst. Because a held sender has **all** of its pre-GST
-    /// transmissions held, and held events release in global transmission
-    /// (slot) order, per-edge FIFO — and with it the flood fabric's
+    /// transmissions held, and held events release in transmission order,
+    /// per-edge FIFO — and with it the flood fabric's
     /// same-first-message-per-key invariant — survives the burst.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn enqueue_async(
@@ -258,7 +259,8 @@ impl<P: Protocol> Network<P> {
         pending: Vec<Vec<Outgoing<P::Message>>>,
         base: u64,
         produced_at: Moment,
-        buffer: &mut Vec<Delivery<P::Message>>,
+        window: &mut Window<P::Message>,
+        owner: u32,
         due: &mut [Vec<(u32, u32)>],
         edge_last: &mut [u64],
         held: &mut Vec<(u32, u32)>,
@@ -267,11 +269,11 @@ impl<P: Protocol> Network<P> {
         let n = self.nodes.len();
         let horizon = due.len() as u64;
         let observer = &self.observer;
-        let mut schedule = |slot: u32, from: NodeId, to: NodeId| {
+        let mut schedule = |index: u32, slot: u64, from: NodeId, to: NodeId| {
             let edge = from.index() * n + to.index();
             if let Some((gst, pre)) = psync {
                 if base < gst && pre.holds(from.index()) {
-                    held.push((slot, to.index() as u32));
+                    held.push((index, to.index() as u32));
                     edge_last[edge] = edge_last[edge].max(gst);
                     observer.emit(|| Event::Held {
                         at: produced_at,
@@ -288,7 +290,7 @@ impl<P: Protocol> Network<P> {
             // deliveries in transmission order.
             let at = (base + (lag - 1)).max(edge_last[edge]);
             edge_last[edge] = at;
-            due[(at % horizon) as usize].push((slot, to.index() as u32));
+            due[(at % horizon) as usize].push((index, to.index() as u32));
             observer.emit(|| Event::Scheduled {
                 at: produced_at,
                 from,
@@ -305,39 +307,46 @@ impl<P: Protocol> Network<P> {
             let can_equivocate = self.model.allows_equivocation(sender);
             for outgoing in sender_pending {
                 stats.transmissions += 1;
-                let slot = u32::try_from(buffer.len()).expect("delivery buffer overflow");
                 let is_broadcast = matches!(outgoing, Outgoing::Broadcast(_));
                 match outgoing {
                     Outgoing::Unicast(target, message) if can_equivocate => {
                         if self.graph.has_edge(sender, target) {
-                            buffer.push(Delivery {
-                                from: sender,
-                                message,
-                            });
+                            let index = window.push(
+                                Delivery {
+                                    from: sender,
+                                    message,
+                                },
+                                owner,
+                            );
+                            let slot = window.number(index);
                             self.observer.emit(|| Event::Transmission {
                                 at: produced_at,
                                 from: sender,
                                 slot,
                                 broadcast: is_broadcast,
-                                meta: buffer[slot as usize].message.meta(&self.arena),
+                                meta: window.get(index).message.meta(&self.arena),
                             });
-                            schedule(slot, sender, target);
+                            schedule(index, slot, sender, target);
                         }
                     }
                     Outgoing::Broadcast(message) | Outgoing::Unicast(_, message) => {
-                        buffer.push(Delivery {
-                            from: sender,
-                            message,
-                        });
+                        let index = window.push(
+                            Delivery {
+                                from: sender,
+                                message,
+                            },
+                            owner,
+                        );
+                        let slot = window.number(index);
                         self.observer.emit(|| Event::Transmission {
                             at: produced_at,
                             from: sender,
                             slot,
                             broadcast: is_broadcast,
-                            meta: buffer[slot as usize].message.meta(&self.arena),
+                            meta: window.get(index).message.meta(&self.arena),
                         });
                         for neighbor in self.graph.neighbors(sender) {
-                            schedule(slot, sender, neighbor);
+                            schedule(index, slot, sender, neighbor);
                         }
                     }
                 }
@@ -354,7 +363,8 @@ impl<P: Protocol> Network<P> {
 
     /// Runs every node's protocol hook for the given round (or the start
     /// hook when `round` is `None`), passing faulty nodes' output through the
-    /// adversary. While observed, interference the adversary applies
+    /// adversary. Node `v`'s inbox is `slots[v]`, indices into `buffer`,
+    /// whose first entry is transmission number `first`. While observed, interference the adversary applies
     /// (tamper / omit / equivocate, measured by diffing honest against
     /// actual output) is added into `interference`. The diff clones the
     /// honest set and is quadratic in it, so it runs only under an enabled
@@ -365,7 +375,7 @@ impl<P: Protocol> Network<P> {
         regime: &Regime,
         adversary: &mut A,
         round: Option<Round>,
-        buffer: &[Delivery<P::Message>],
+        (buffer, first): (&[Delivery<P::Message>], u64),
         slots: &[Vec<u32>],
         interference: &mut RoundStats,
     ) -> Vec<Vec<Outgoing<P::Message>>>
@@ -390,7 +400,7 @@ impl<P: Protocol> Network<P> {
                 ledger: &self.ledger,
                 observer: &self.observer,
             };
-            let inbox = Inbox::indexed(buffer, &slots[v]);
+            let inbox = Inbox::windowed(buffer, first, &slots[v]);
             let was_decided = observing && node.output().is_some();
             let honest = match round {
                 None => node.on_start(&ctx),
@@ -502,7 +512,7 @@ impl<P: Protocol> Network<P> {
                             self.observer.emit(|| Event::Transmission {
                                 at: produced_at,
                                 from: sender,
-                                slot,
+                                slot: u64::from(slot),
                                 broadcast: is_broadcast,
                                 meta: buffer[slot as usize].message.meta(&self.arena),
                             });
@@ -512,7 +522,7 @@ impl<P: Protocol> Network<P> {
                                 step,
                                 to: target,
                                 from: sender,
-                                slot,
+                                slot: u64::from(slot),
                                 meta: buffer[slot as usize].message.meta(&self.arena),
                             });
                         }
@@ -528,7 +538,7 @@ impl<P: Protocol> Network<P> {
                         self.observer.emit(|| Event::Transmission {
                             at: produced_at,
                             from: sender,
-                            slot,
+                            slot: u64::from(slot),
                             broadcast: is_broadcast,
                             meta: buffer[slot as usize].message.meta(&self.arena),
                         });
@@ -539,7 +549,7 @@ impl<P: Protocol> Network<P> {
                                 step,
                                 to: neighbor,
                                 from: sender,
-                                slot,
+                                slot: u64::from(slot),
                                 meta: buffer[slot as usize].message.meta(&self.arena),
                             });
                         }

@@ -93,8 +93,8 @@ pub struct Delivery<M> {
 
 /// A zero-clone view over the messages delivered to one node this round.
 ///
-/// The round's transmissions live **once** in the network's round buffer;
-/// an inbox addresses one node's deliveries either directly (a plain slice,
+/// Transmissions live **once** in the network's shared buffer; an inbox
+/// addresses one node's deliveries either directly (a plain slice,
 /// used by tests and standalone flood drivers) or as indices into the shared
 /// buffer (the simulator's delivery path, which therefore never clones a
 /// message per neighbor — under local broadcast a single broadcast used to
@@ -102,11 +102,13 @@ pub struct Delivery<M> {
 #[derive(Debug)]
 pub struct Inbox<'a, M> {
     buffer: &'a [Delivery<M>],
+    /// The transmission number of `buffer[0]`.
+    first: u64,
     slots: InboxSlots<'a>,
 }
 
-// Manual impls: an inbox is two shared references, copyable regardless of
-// whether `M` itself is (the derive would demand `M: Copy`).
+// Manual impls: an inbox is shared references and a number, copyable
+// regardless of whether `M` itself is (the derive would demand `M: Copy`).
 impl<M> Clone for Inbox<'_, M> {
     fn clone(&self) -> Self {
         *self
@@ -119,7 +121,7 @@ impl<M> Copy for Inbox<'_, M> {}
 enum InboxSlots<'a> {
     /// The node's deliveries are exactly the buffer.
     All,
-    /// Indices into the shared round buffer, in delivery order.
+    /// Indices into the shared buffer, in delivery order.
     Indexed(&'a [u32]),
 }
 
@@ -129,15 +131,25 @@ impl<'a, M> Inbox<'a, M> {
     pub fn direct(deliveries: &'a [Delivery<M>]) -> Self {
         Inbox {
             buffer: deliveries,
+            first: 0,
             slots: InboxSlots::All,
         }
     }
 
-    /// An inbox of `slots` indices into the shared round `buffer`.
+    /// An inbox of `slots` indices into the shared round `buffer`, whose
+    /// transmissions are numbered from 0.
     #[must_use]
     pub fn indexed(buffer: &'a [Delivery<M>], slots: &'a [u32]) -> Self {
+        Self::windowed(buffer, 0, slots)
+    }
+
+    /// An inbox of `slots` indices into `window`, a buffer holding the
+    /// consecutive transmissions numbered from `first` on.
+    #[must_use]
+    pub fn windowed(window: &'a [Delivery<M>], first: u64, slots: &'a [u32]) -> Self {
         Inbox {
-            buffer,
+            buffer: window,
+            first,
             slots: InboxSlots::Indexed(slots),
         }
     }
@@ -169,21 +181,29 @@ impl<'a, M> Inbox<'a, M> {
         }
     }
 
-    /// Iterates `(slot, delivery)` pairs, where `slot` identifies the
-    /// transmission in the shared buffer. Every receiver of the same
-    /// transmission sees the same slot, which is what lets the flood engines
-    /// decode a transmission once and hand the decode to its other receivers
-    /// through the ledger's slot tables (see `lbc_model::FloodLedger`). The
-    /// lockstep loop numbers slots from 0 every round; the event loop numbers
-    /// them across a whole chain. For an [`Inbox::direct`] inbox the slot is
-    /// the position in the slice, which is unique only within that inbox, so
-    /// a slot-keyed cache must verify an entry's key before trusting it.
+    /// Iterates `(slot, delivery)` pairs, where `slot` is the delivered
+    /// transmission's number, truncated to `u32`. The number names the
+    /// transmission for its whole life; its index into the shared buffer
+    /// is only where it sits now. Every receiver of the same transmission
+    /// sees the same number, which is what lets the flood engines decode a
+    /// transmission once and hand the decode to its other receivers through
+    /// the ledger's slot tables (see `lbc_model::FloodLedger`).
+    ///
+    /// The lockstep loop numbers each round's transmissions from 0, so
+    /// there number and index coincide. The event loop numbers
+    /// transmissions 0, 1, 2, … across a whole chain and keeps only those
+    /// still in flight, in a window that drops its delivered prefix: the
+    /// index shifts as the window moves, the number never changes. For an
+    /// [`Inbox::direct`] inbox the slot is the position in the slice, which
+    /// is unique only within that inbox, so a slot-keyed cache must verify
+    /// an entry's key before trusting it.
     pub fn iter_indexed(&self) -> impl Iterator<Item = (u32, &'a Delivery<M>)> + use<'a, M> {
         let buffer = self.buffer;
         match self.slots {
             InboxSlots::All => IndexedIter::All(buffer.iter().enumerate()),
             InboxSlots::Indexed(slots) => IndexedIter::Indexed {
                 buffer,
+                first: self.first,
                 slots: slots.iter(),
             },
         }
@@ -194,6 +214,7 @@ enum IndexedIter<'a, M> {
     All(std::iter::Enumerate<std::slice::Iter<'a, Delivery<M>>>),
     Indexed {
         buffer: &'a [Delivery<M>],
+        first: u64,
         slots: std::slice::Iter<'a, u32>,
     },
 }
@@ -206,9 +227,14 @@ impl<'a, M> Iterator for IndexedIter<'a, M> {
             IndexedIter::All(iter) => iter
                 .next()
                 .map(|(position, delivery)| (position as u32, delivery)),
-            IndexedIter::Indexed { buffer, slots } => {
-                slots.next().map(|&slot| (slot, &buffer[slot as usize]))
-            }
+            IndexedIter::Indexed {
+                buffer,
+                first,
+                slots,
+            } => slots.next().map(|&index| {
+                let number = first.wrapping_add(u64::from(index)) as u32;
+                (number, &buffer[index as usize])
+            }),
         }
     }
 }
@@ -236,9 +262,9 @@ impl<'a, M> IntoIterator for &Inbox<'a, M> {
 pub enum InboxIter<'a, M> {
     /// Direct slice iteration.
     All(std::slice::Iter<'a, Delivery<M>>),
-    /// Indexed iteration through the shared round buffer.
+    /// Indexed iteration through the shared buffer.
     Indexed {
-        /// The shared round buffer.
+        /// The shared buffer.
         buffer: &'a [Delivery<M>],
         /// Remaining slot indices.
         slots: std::slice::Iter<'a, u32>,

@@ -144,9 +144,11 @@ pub enum Event {
         at: Moment,
         /// The transmitting node.
         from: NodeId,
-        /// The transmission's slot in the round buffer (shared by all its
-        /// deliveries).
-        slot: u32,
+        /// The transmission's number, shared by all its deliveries: its
+        /// index in the round under the lockstep loop, and its place in the
+        /// chain's transmission order under the event loop (0, 1, 2, … for
+        /// the whole chain, never reused).
+        slot: u64,
         /// `true` for a broadcast, `false` for an addressed unicast.
         broadcast: bool,
         /// Observable message content.
@@ -160,8 +162,9 @@ pub enum Event {
         to: NodeId,
         /// The transmitting neighbor.
         from: NodeId,
-        /// The transmission slot this delivery came from.
-        slot: u32,
+        /// The number of the transmission this delivery came from (see
+        /// [`Event::Transmission`]).
+        slot: u64,
         /// Observable message content.
         meta: MsgMeta,
     },
@@ -190,8 +193,9 @@ pub enum Event {
         from: NodeId,
         /// Receiving node.
         to: NodeId,
-        /// The transmission slot held back.
-        slot: u32,
+        /// The number of the transmission held back (see
+        /// [`Event::Transmission`]).
+        slot: u64,
     },
     /// The partial-synchrony burst at GST released all held deliveries.
     BurstRelease {

@@ -11,14 +11,20 @@
 # lane and an edge-lag-d3 lane, 1000 instances each) under --strict at 1
 # and 2 workers with byte-identical reports. No other serve lane runs on an
 # edge-lag schedule, where Definition C.1 decides most of an instance's
-# receipts. The gate only reads the spec file.
+# receipts.
+#
+# Last, a memory gate: 4000 instances of serve_1000.json must peak below
+# 64 MiB of resident memory. The event loop keeps only the transmissions
+# still in flight, so a lane's memory does not grow with its chain (about
+# 14 MB here); a loop that kept every transmission of the chain needs about
+# 220 MB. The gates only read the spec files.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${LBC_SERVE_OUT:-target/lbc-serve-smoke}"
 SPEC="examples/campaigns/serve_smoke.json"
 rm -rf "$OUT"
-mkdir -p "$OUT/w1" "$OUT/w2" "$OUT/w8" "$OUT/chain-w1" "$OUT/chain-w2"
+mkdir -p "$OUT/w1" "$OUT/w2" "$OUT/w8" "$OUT/chain-w1" "$OUT/chain-w2" "$OUT/long"
 
 cargo build --release --bin lbc
 
@@ -55,4 +61,17 @@ CHAIN=benchmark/workloads/serve_chain.json
 ./target/release/lbc serve "$CHAIN" --strict --quiet --workers 2 --out "$OUT/chain-w2"
 cmp "$OUT/chain-w1/serve-1000.serve.report.json" "$OUT/chain-w2/serve-1000.serve.report.json"
 
-echo "serve smoke OK: strict verdicts + byte-identical reports at 1/2/8 workers + bounded channels + serve-chain edge-lag lane at 1/2 workers"
+python3 - "$OUT/long" <<'EOF'
+import resource, subprocess, sys
+
+limit_mib = 64
+command = ["./target/release/lbc", "serve", "examples/campaigns/serve_1000.json",
+           "--instances", "4000", "--quiet", "--out", sys.argv[1]]
+subprocess.run(command, check=True)
+# Linux reports ru_maxrss in KiB.
+peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"serve_1000.json x4000 peak RSS {peak_mib:.1f} MiB (limit {limit_mib} MiB)")
+assert peak_mib <= limit_mib, f"peak RSS {peak_mib:.1f} MiB above {limit_mib} MiB"
+EOF
+
+echo "serve smoke OK: strict verdicts + byte-identical reports at 1/2/8 workers + bounded channels + serve-chain edge-lag lane at 1/2 workers + 4000-instance chain under 64 MiB"

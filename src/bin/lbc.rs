@@ -53,6 +53,7 @@
 
 use std::env;
 use std::fs;
+use std::io::{self, ErrorKind, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -473,6 +474,18 @@ fn cmd_impossibility(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The exit status after a failed write to stdout. A reader that closed the
+/// pipe early (`lbc trace … | head`) has read all it wanted, so that ends
+/// the command quietly with status 0.
+fn stdout_failure(err: &io::Error) -> ExitCode {
+    if err.kind() == ErrorKind::BrokenPipe {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("cannot write to stdout: {err}");
+        ExitCode::FAILURE
+    }
+}
+
 fn cmd_experiments(args: &[String]) -> ExitCode {
     let wanted = args.first().map(|s| s.to_uppercase());
     let all = [
@@ -489,10 +502,12 @@ fn cmd_experiments(args: &[String]) -> ExitCode {
         ("E8", experiments::e8_reliable_receive),
     ];
     let mut ran = false;
+    let mut out = io::stdout().lock();
     for (id, run) in all {
         if wanted.as_deref().is_none_or(|w| w == id) {
-            println!("{}", run().render_table());
-            println!();
+            if let Err(err) = writeln!(out, "{}\n", run().render_table()) {
+                return stdout_failure(&err);
+            }
             ran = true;
         }
     }
@@ -963,8 +978,11 @@ fn cmd_trace(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     };
     let replay = replay_scenario(scenario);
-    print!("{}", replay.render_with(scenario, timeline));
-    ExitCode::SUCCESS
+    let text = replay.render_with(scenario, timeline);
+    match io::stdout().lock().write_all(text.as_bytes()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(err) => stdout_failure(&err),
+    }
 }
 
 fn main() -> ExitCode {

@@ -406,3 +406,35 @@ fn lbc_run_accepts_graphs_above_64_nodes() {
     assert_eq!(inputs.len(), 65, "{inputs}");
     assert!(inputs.chars().all(|c| c == '0' || c == '1'), "{inputs}");
 }
+
+/// Piping a long timeline into a reader that stops early (`lbc trace … |
+/// head`) ends `lbc` quietly with status 0 instead of a broken-pipe panic.
+#[test]
+fn lbc_trace_exits_cleanly_when_its_reader_stops_early() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+
+    let spec = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/campaigns/async_boundary.json"
+    );
+    // Cell 72 prints about 79,000 lines, far more than a pipe buffers.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lbc"))
+        .args(["trace", spec, "--cell", "72"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("lbc starts");
+    let mut first = String::new();
+    {
+        let stdout = child.stdout.take().expect("piped stdout");
+        BufReader::new(stdout)
+            .read_line(&mut first)
+            .expect("a first line");
+    }
+    let output = child.wait_with_output().expect("lbc exits");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(first.starts_with("cell #72"), "{first}");
+    assert!(output.status.success(), "{:?}: {stderr}", output.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
